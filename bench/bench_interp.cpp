@@ -7,14 +7,13 @@
 // harness holds them to it, counter for counter), so the wall-time ratios
 // here are pure interpretation overhead: walk/vm measures what re-walking
 // expression trees costs against register bytecode; vm/threaded measures
-// what switch dispatch costs against token-threaded dispatch plus
-// superinstruction fusion.
+// what superinstruction fusion buys (both run the same dispatch loop, the
+// vm backend over the unfused op stream, the threaded tier over the fused
+// stream).
 //
 // Rows of one workload share a name prefix: interp/<workload>/walk, .../vm,
-// .../threaded, and .../threaded_nofuse (the fusion ablation: the threaded
-// loop over an unfused key stream, isolating dispatch gains from fusion
-// gains). main() computes per-workload speedups and their geomeans into the
-// BENCH_interp.json metadata block.
+// and .../threaded. main() computes per-workload speedups and their
+// geomeans into the BENCH_interp.json metadata block.
 //
 // Workloads cover the IR's cost centres: call/return frames (sp1), tail
 // calls (sp2), straight-line expression loops (sp3), memory traffic
@@ -180,7 +179,7 @@ std::vector<Workload> &workloads() {
 void registerAll() {
   suiteMetadata()["backends"] = "walk,vm,threaded";
   suiteMetadata()["threaded_dispatch"] = threadedDispatchKind();
-  suiteMetadata()["fusion"] = "all (ablation rows: none)";
+  suiteMetadata()["fusion"] = "all (vm rows: none)";
   for (const Workload &W : workloads()) {
     for (engine::Backend B : engine::AllBackends)
       benchmark::RegisterBenchmark(
@@ -189,19 +188,6 @@ void registerAll() {
           [&W, B](benchmark::State &S) {
             runInterp(S, W, engine::makeExecutor(B, *W.Prog));
           });
-    // The fusion ablation: the same threaded loop over a key stream with
-    // every fusion pair disabled. threaded/threaded_nofuse isolates the
-    // superinstruction gain; threaded_nofuse/vm isolates the dispatch gain.
-    benchmark::RegisterBenchmark(
-        ("interp/" + W.Name + "/threaded_nofuse").c_str(),
-        [&W](benchmark::State &S) {
-          auto BC =
-              std::make_shared<const CompiledProgram>(compileToBytecode(*W.Prog));
-          runInterp(S, W,
-                    std::make_unique<ThreadedMachine>(
-                        *W.Prog,
-                        fuseProgram(std::move(BC), FusionTable::none())));
-        });
   }
   // Bytecode compilation is a one-time, per-program cost; measured so the
   // speedup table can show how quickly the VM amortizes it.
@@ -253,25 +239,20 @@ void annotateSpeedups(const JsonCaptureReporter &R) {
     void add(double Ratio) { LogSum += std::log(Ratio), ++N; }
     double mean() const { return N ? std::exp(LogSum / N) : 0.0; }
   };
-  Geo VmOverWalk, ThreadedOverVm, ThreadedOverWalk, FusionGain;
+  Geo VmOverWalk, ThreadedOverWalk, FusionGain;
   for (const Workload &W : workloads()) {
     double Walk = cpuPerIter(R, "interp/" + W.Name + "/walk");
     double Vm = cpuPerIter(R, "interp/" + W.Name + "/vm");
     double Thr = cpuPerIter(R, "interp/" + W.Name + "/threaded");
-    double NoFuse = cpuPerIter(R, "interp/" + W.Name + "/threaded_nofuse");
-    if (!Walk || !Vm || !Thr || !NoFuse)
+    if (!Walk || !Vm || !Thr)
       continue;
     VmOverWalk.add(Walk / Vm);
-    ThreadedOverVm.add(Vm / Thr);
     ThreadedOverWalk.add(Walk / Thr);
-    FusionGain.add(NoFuse / Thr);
+    FusionGain.add(Vm / Thr);
     suiteMetadata()["speedup_" + W.Name] =
-        "vm_over_walk=" + fmt(Walk / Vm) +
-        " threaded_over_vm=" + fmt(Vm / Thr) +
-        " fusion_gain=" + fmt(NoFuse / Thr);
+        "vm_over_walk=" + fmt(Walk / Vm) + " fusion_gain=" + fmt(Vm / Thr);
   }
   suiteMetadata()["geomean_vm_over_walk"] = fmt(VmOverWalk.mean());
-  suiteMetadata()["geomean_threaded_over_vm"] = fmt(ThreadedOverVm.mean());
   suiteMetadata()["geomean_threaded_over_walk"] = fmt(ThreadedOverWalk.mean());
   suiteMetadata()["geomean_fusion_gain"] = fmt(FusionGain.mean());
 }

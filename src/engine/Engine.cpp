@@ -7,13 +7,13 @@
 #include "engine/Engine.h"
 
 #include "engine/Cache.h"
-#include "engine/RunBudget.h"
 #include "engine/Session.h"
 #include "obs/Json.h"
 #include "obs/Profiler.h"
 #include "rts/Dispatchers.h"
 #include "rts/RuntimeInterface.h"
 #include "sched/Scheduler.h"
+#include "sem/Continuation.h"
 #include "sem/Machine.h"
 #include "vm/Threaded.h"
 #include "vm/Vm.h"
@@ -191,7 +191,7 @@ CacheStats Engine::cacheStats() const {
   return Cache ? Cache->stats() : CacheStats{};
 }
 
-using cmm::engine::detail::millisSince;
+using cmm::detail::millisSince;
 
 const IrProgram *
 Engine::resolveProgram(const Job &J, uint64_t Id, unsigned Tid,
@@ -362,8 +362,8 @@ JobResult Engine::runJob(const Job &J, uint64_t Id) {
   uint64_t RunT0 = nowMicros();
   M.start(J.Entry, J.Args);
 
-  RunBudget Budget{J.MaxSteps, J.DeadlineMillis, J.MaxMemoryBytes};
-  BudgetOutcome Out;
+  ResumeBudget Budget{J.MaxSteps, J.DeadlineMillis, J.MaxMemoryBytes};
+  ResumeOutcome Out;
   MachineStatus St;
   switch (J.Dispatcher) {
   case DispatcherKind::Unwind: {

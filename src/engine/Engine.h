@@ -151,8 +151,7 @@ public:
   std::shared_ptr<const CompiledProgram> bytecode() const;
 
   /// The threaded tier's fused stream over bytecode(), built at most once
-  /// per artifact (under the default FusionTable::all()). Precondition:
-  /// ok().
+  /// per artifact. Precondition: ok().
   std::shared_ptr<const ThreadedProgram> threaded() const;
 
   /// Fresh executor over this artifact; the VM backend shares bytecode(),

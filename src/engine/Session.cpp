@@ -10,8 +10,8 @@
 
 using namespace cmm;
 using namespace cmm::engine;
-using cmm::engine::detail::millisSince;
-using cmm::engine::detail::runBudgeted;
+using cmm::detail::millisSince;
+using cmm::detail::runBudgeted;
 
 //===----------------------------------------------------------------------===//
 // Engine::startSession
@@ -68,7 +68,7 @@ JobSession::~JobSession() {
   Eng.JM.SessionsOpen.sub(1);
 }
 
-void JobSession::countOutcome(MachineStatus St, const BudgetOutcome &Out) {
+void JobSession::countOutcome(MachineStatus St, const ResumeOutcome &Out) {
   if (Counted)
     return;
   Counted = true;
@@ -94,7 +94,7 @@ void JobSession::countOutcome(MachineStatus St, const BudgetOutcome &Out) {
   Eng.JM.JobMicros.record(Eng.nowMicros() - StartMicros);
 }
 
-JobResult JobSession::finishSegment(MachineStatus St, const BudgetOutcome &Out,
+JobResult JobSession::finishSegment(MachineStatus St, const ResumeOutcome &Out,
                                     double RunMillis) {
   LastStatus = St;
   LastOutcome = Out;
@@ -131,8 +131,8 @@ JobResult JobSession::startSegment(const Job &J) {
   auto R0 = std::chrono::steady_clock::now();
   Eng.JM.Running.add(1);
   Exec->start(J.Entry, J.Args);
-  RunBudget Budget{J.MaxSteps, J.DeadlineMillis, J.MaxMemoryBytes};
-  BudgetOutcome Out;
+  ResumeBudget Budget{J.MaxSteps, J.DeadlineMillis, J.MaxMemoryBytes};
+  ResumeOutcome Out;
   MachineStatus St;
   switch (J.Dispatcher) {
   case DispatcherKind::Unwind:
@@ -159,10 +159,10 @@ JobResult JobSession::startSegment(const Job &J) {
   return finishSegment(St, Out, millisSince(R0));
 }
 
-JobResult JobSession::runSegment(const RunBudget &Budget) {
+JobResult JobSession::runSegment(const ResumeBudget &Budget) {
   auto R0 = std::chrono::steady_clock::now();
   Eng.JM.Running.add(1);
-  BudgetOutcome Out;
+  ResumeOutcome Out;
   MachineStatus St =
       runBudgeted(*Exec, [](Executor &) { return false; }, Budget,
                   Engine::DeadlineSliceSteps, Out, Cycles);
@@ -172,7 +172,7 @@ JobResult JobSession::runSegment(const RunBudget &Budget) {
 
 JobResult JobSession::resumeRaw(const ResumeChoice &Choice,
                                 std::vector<Value> Params,
-                                const RunBudget &Budget) {
+                                const ResumeBudget &Budget) {
   // One first-class Continuation per wire resume (sem/Continuation.h): the
   // capture refuses anything but a Suspended executor, the resume consumes
   // the handle, and the budgeted run is the handle's own.
@@ -192,17 +192,18 @@ JobResult JobSession::resumeRaw(const ResumeChoice &Choice,
   return finishSegment(Res.Status, Res.Outcome, millisSince(R0));
 }
 
-JobResult JobSession::unwindTop(size_t Count, const RunBudget &) {
+JobResult JobSession::unwindTop(size_t Count, const ResumeBudget &) {
   Continuation C = Continuation::capture(*Exec);
   if (Done || C.state() != Continuation::State::Suspended)
     return finishSegment(Exec->status(), LastOutcome, 0);
   Eng.JM.SessionResumes.add(1);
   C.unwindTop(Count);
   // Still suspended on success; Wrong on an un-abortable call site.
-  return finishSegment(Exec->status(), BudgetOutcome{}, 0);
+  return finishSegment(Exec->status(), ResumeOutcome{}, 0);
 }
 
-JobResult JobSession::dispatchOnce(DispatcherKind K, const RunBudget &Budget) {
+JobResult JobSession::dispatchOnce(DispatcherKind K,
+                                    const ResumeBudget &Budget) {
   if (Done || Exec->status() != MachineStatus::Suspended ||
       K == DispatcherKind::None)
     return finishSegment(Exec->status(), LastOutcome, 0);
@@ -220,12 +221,12 @@ JobResult JobSession::dispatchOnce(DispatcherKind K, const RunBudget &Budget) {
   LastHandled = D == DispatchResult::Handled;
   if (!LastHandled || Exec->status() == MachineStatus::Suspended)
     // Unhandled (or the dispatcher went wrong): report where we stand.
-    return finishSegment(Exec->status(), BudgetOutcome{}, 0);
+    return finishSegment(Exec->status(), ResumeOutcome{}, 0);
   ++Cycles;
   return runSegment(Budget);
 }
 
-JobResult JobSession::continueRun(const RunBudget &Budget) {
+JobResult JobSession::continueRun(const ResumeBudget &Budget) {
   // A fuel/deadline/memory stop captures as a Paused continuation; resuming
   // it is "just more budget".
   Continuation C = Continuation::capture(*Exec);

@@ -14,8 +14,8 @@
 /// boundary (src/svc resumes sessions over the wire; docs/SERVICE.md
 /// § "Sessions").
 ///
-/// A session advances in segments. Each segment call takes a RunBudget
-/// (fuel / deadline / memory quota, engine/RunBudget.h) and returns a
+/// A session advances in segments. Each segment call takes a ResumeBudget
+/// (fuel / deadline / memory quota, sem/Continuation.h) and returns a
 /// JobResult describing where the job now stands:
 ///
 ///   - resumeRaw: one Table 1 resume (return / also-unwinds / cut), then
@@ -45,8 +45,8 @@
 #define CMM_ENGINE_SESSION_H
 
 #include "engine/Engine.h"
-#include "engine/RunBudget.h"
 #include "rts/Dispatchers.h"
+#include "sem/Continuation.h"
 
 #include <memory>
 
@@ -74,7 +74,7 @@ public:
   /// Serviced yields so far (across all segments).
   uint64_t resumeCycles() const { return Cycles; }
   /// Current memory footprint in bytes (page-granular).
-  uint64_t memoryBytes() const { return detail::memoryBytesOf(*Exec); }
+  uint64_t memoryBytes() const { return cmm::detail::memoryBytesOf(*Exec); }
 
   /// Whether the last dispatchOnce found a handler. A false value with the
   /// session still Suspended means the yield is not serviceable by that
@@ -85,22 +85,22 @@ public:
   /// status() == Suspended (violations leave the executor untouched and
   /// return the current state).
   JobResult resumeRaw(const ResumeChoice &Choice, std::vector<Value> Params,
-                      const RunBudget &Budget);
+                      const ResumeBudget &Budget);
 
   /// Pops \p Count suspended activations (rtUnwindTop); every popped call
   /// site must be annotated `also aborts`, else the executor goes Wrong.
   /// Does not execute any transition. Precondition: status() == Suspended.
-  JobResult unwindTop(size_t Count, const RunBudget &Budget);
+  JobResult unwindTop(size_t Count, const ResumeBudget &Budget);
 
   /// Services the current yield with the engine dispatcher for \p K (None
   /// is invalid), then runs under \p Budget. Precondition: status() ==
   /// Suspended.
-  JobResult dispatchOnce(DispatcherKind K, const RunBudget &Budget);
+  JobResult dispatchOnce(DispatcherKind K, const ResumeBudget &Budget);
 
   /// Runs under \p Budget without resuming anything — continues a segment
   /// that stopped on fuel, deadline, or memory. Precondition: status() ==
   /// Running.
-  JobResult continueRun(const RunBudget &Budget);
+  JobResult continueRun(const ResumeBudget &Budget);
 
 private:
   friend class Engine;
@@ -113,13 +113,13 @@ private:
   /// dispatcher (persisted for later dispatchOnce calls).
   JobResult startSegment(const Job &J);
   /// Runs the budgeted loop with no handler and wraps up the segment.
-  JobResult runSegment(const RunBudget &Budget);
+  JobResult runSegment(const ResumeBudget &Budget);
   /// Builds the segment result and, on a terminal status, counts the job's
   /// outcome exactly once.
-  JobResult finishSegment(MachineStatus St, const BudgetOutcome &Out,
+  JobResult finishSegment(MachineStatus St, const ResumeOutcome &Out,
                           double RunMillis);
   /// Counts the final outcome into the engine's job metrics (idempotent).
-  void countOutcome(MachineStatus St, const BudgetOutcome &Out);
+  void countOutcome(MachineStatus St, const ResumeOutcome &Out);
 
   Engine &Eng;
   uint64_t Id = 0;
@@ -141,7 +141,7 @@ private:
   /// Last segment's stop condition, for the destructor's final accounting
   /// of abandoned sessions.
   MachineStatus LastStatus = MachineStatus::Idle;
-  BudgetOutcome LastOutcome;
+  ResumeOutcome LastOutcome;
 };
 
 } // namespace cmm::engine

@@ -29,8 +29,7 @@
 ///     scheduler migrates parked threads across pool workers this way).
 ///
 /// The budget types and the budgeted run loop live here (not in engine/) so
-/// that anything holding an Executor can use them; engine/RunBudget.h keeps
-/// aliases for its old names.
+/// that anything holding an Executor can use them.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -41,7 +41,7 @@ namespace cmm {
 class Memory {
 public:
   /// Allocation granularity: pageCount() * PageSize is the footprint the
-  /// engine's memory quota (engine/RunBudget.h) charges a job for.
+  /// memory quota (ResumeBudget, sem/Continuation.h) charges a job for.
   static constexpr uint64_t PageSize = 4096;
 
   Memory() = default;

@@ -460,10 +460,10 @@ std::shared_ptr<Server::Tenant> Server::tenant(const std::string &Name) {
   return T;
 }
 
-engine::RunBudget Server::clampBudget(uint64_t MaxSteps, double DeadlineMillis,
-                                      uint64_t MaxMemoryBytes) const {
+ResumeBudget Server::clampBudget(uint64_t MaxSteps, double DeadlineMillis,
+                                 uint64_t MaxMemoryBytes) const {
   const TenantQuota &Q = Opts.Quota;
-  engine::RunBudget B;
+  ResumeBudget B;
   bool NoFuel = MaxSteps == 0 || MaxSteps == ~uint64_t(0);
   B.MaxSteps = Q.MaxFuel == 0
                    ? (NoFuel ? ~uint64_t(0) : MaxSteps)
@@ -729,7 +729,7 @@ void Server::handleRun(std::shared_ptr<Conn> C, RunRequestMsg M,
   J.Entry = std::move(M.Entry);
   J.Args = std::move(M.Args);
   J.Dispatcher = engine::DispatcherKind(M.Dispatcher);
-  engine::RunBudget B =
+  ResumeBudget B =
       clampBudget(M.MaxSteps, M.DeadlineMillis, M.MaxMemoryBytes);
   J.MaxSteps = B.MaxSteps;
   J.DeadlineMillis = B.DeadlineMillis;
@@ -773,7 +773,7 @@ void Server::handleResume(std::shared_ptr<Conn> C, ResumeRequestMsg M,
                           std::shared_ptr<SessionEntry> E,
                           std::shared_ptr<Tenant> T) {
   auto T0 = SteadyClock::now();
-  engine::RunBudget B =
+  ResumeBudget B =
       clampBudget(M.MaxSteps, M.DeadlineMillis, M.MaxMemoryBytes);
   engine::JobSession &S = *E->S;
   engine::JobResult R;
@@ -821,17 +821,21 @@ void Server::handleResume(std::shared_ptr<Conn> C, ResumeRequestMsg M,
 
 void Server::handleShutdown(const std::shared_ptr<Conn> &C, uint64_t ReqId) {
   std::lock_guard<std::mutex> L(StopMu);
-  if (!Closed.load()) {
+  const bool Drain = !Closed.load();
+  if (Drain) {
     {
       std::lock_guard<std::mutex> D(DrainMu);
       Stopping.store(true);
     }
     waitDrained();
+    // Stopped before the reply goes out, so a client that has seen
+    // RespShutdown (or any drained response) also sees stopped().
+    Closed.store(true);
   }
   ByteWriter W;
   W.u64(ReqId);
   sendFrame(C, MsgType::RespShutdown, W);
-  if (!Closed.load())
+  if (Drain)
     stopSockets();
 }
 
@@ -875,14 +879,14 @@ void Server::reaperLoop() {
     {
       std::lock_guard<std::mutex> L(SessMu);
       for (auto &[Id, E] : Sessions) {
-        if (Now - E->LastUsedMicros.load() < TtlMicros)
+        if (!sessionIdleExpired(Now, E->LastUsedMicros.load(), TtlMicros))
           continue;
         if (E->Busy.exchange(true)) // in use; it will refresh on release
           continue;
         // Re-check after claiming: a resume may have refreshed the
         // timestamp and released Busy between our read and the claim —
         // expiring it then would discard a session the tenant just used.
-        if (Now - E->LastUsedMicros.load() < TtlMicros) {
+        if (!sessionIdleExpired(Now, E->LastUsedMicros.load(), TtlMicros)) {
           E->Busy.store(false);
           continue;
         }

@@ -44,7 +44,7 @@
 #define CMM_SVC_SERVER_H
 
 #include "engine/Engine.h"
-#include "engine/RunBudget.h"
+#include "sem/Continuation.h"
 #include "svc/Protocol.h"
 
 #include <atomic>
@@ -62,6 +62,16 @@ class JobSession;
 }
 
 namespace cmm::svc {
+
+/// The reaper's expiry test: true when a session last used at
+/// \p LastUsedMicros has been idle at least \p TtlMicros by the sweep's
+/// clock \p NowMicros. The sweep samples its clock before it walks the
+/// session table, so a session used in between carries a stamp later than
+/// \p NowMicros; it has not been idle at all.
+inline bool sessionIdleExpired(uint64_t NowMicros, uint64_t LastUsedMicros,
+                               uint64_t TtlMicros) {
+  return LastUsedMicros <= NowMicros && NowMicros - LastUsedMicros >= TtlMicros;
+}
 
 /// Per-tenant resource bounds. The zero-value of a request budget field
 /// means "the quota default"; a nonzero request value is clamped to the
@@ -122,9 +132,9 @@ public:
 
   /// True between a successful start() and the end of a drain.
   bool accepting() const { return Started && !Stopping.load(); }
-  /// True once the sockets are torn down (requestStop finished, or a
-  /// client-initiated ReqShutdown drained the server) — the daemon's main
-  /// loop polls this to know when to exit.
+  /// True once the sockets are torn down (requestStop finished) or a
+  /// client-initiated ReqShutdown drained the server (set before its reply
+  /// is sent) — the daemon's main loop polls this to know when to exit.
   bool stopped() const { return Closed.load(); }
 
   /// The actually bound TCP port (ephemeral binds resolve here).
@@ -182,8 +192,8 @@ private:
                  std::string Message);
 
   std::shared_ptr<Tenant> tenant(const std::string &Name);
-  engine::RunBudget clampBudget(uint64_t MaxSteps, double DeadlineMillis,
-                                uint64_t MaxMemoryBytes) const;
+  ResumeBudget clampBudget(uint64_t MaxSteps, double DeadlineMillis,
+                           uint64_t MaxMemoryBytes) const;
 
   /// Unparks session \p Id: erases the table entry, releases the tenant's
   /// session slot, and counts the removal into \p Outcome (closed or

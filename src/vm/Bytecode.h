@@ -124,6 +124,11 @@ struct CompiledProc {
   /// count (slots plus expression temporaries).
   uint16_t NumSlots = 0, NumRegs = 0;
   std::vector<VmInstr> Code;
+  /// Code's dispatch keys, uint8_t(Code[pc].K) for every pc: the unfused
+  /// key stream the dispatch loop runs on the vm backend (the threaded
+  /// tier's keys mirror Op over the base range, vm/Fuse.h). Derived when
+  /// the procedure is compiled or decoded; never serialized.
+  std::vector<uint8_t> Keys;
   /// Node::Id → pc of the node's first instruction. Continuation records
   /// and bundle edges keep Node* targets; control transfers map them to a
   /// pc through this table at transfer time.

@@ -33,7 +33,8 @@
 // Symbols are re-interned into the program's interner at decode time, which
 // mutates shared state: callers must decode before publishing the artifact
 // to other threads (engine/ArtifactStore.cpp does so under the cache's
-// single-flight slot). CompiledProgram::Index is rebuilt, not serialized.
+// single-flight slot). CompiledProgram::Index and CompiledProc::Keys are
+// rebuilt, not serialized.
 //
 //===----------------------------------------------------------------------===//
 
@@ -183,6 +184,7 @@ bool readProc(ProcReader &P, CompiledProc &C) {
 
   uint64_t NumCode = R.count(/*MinBytesPer=*/22);
   C.Code.reserve(NumCode);
+  C.Keys.reserve(NumCode);
   for (uint64_t I = 0; R.ok() && I < NumCode; ++I) {
     VmInstr In;
     uint8_t K = R.u8();
@@ -197,6 +199,7 @@ bool readProc(ProcReader &P, CompiledProc &C) {
     In.N = P.nodeRef();
     In.Loc = readLoc(R);
     C.Code.push_back(In);
+    C.Keys.push_back(K);
   }
 
   uint64_t NumPc = R.count(/*MinBytesPer=*/4);

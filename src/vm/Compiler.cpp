@@ -791,8 +791,12 @@ CompiledProgram cmm::compileToBytecode(const IrProgram &Prog) {
   for (size_t I = 0; I < Prog.Procs.size(); ++I) {
     const IrProc *P = Prog.Procs[I].get();
     CP.Index.emplace(P, static_cast<uint32_t>(I));
-    CP.Procs[I].Proc = P;
-    ProcCompiler(Prog, *P, CP.Procs[I], CP.MaxOut).compile();
+    CompiledProc &C = CP.Procs[I];
+    C.Proc = P;
+    ProcCompiler(Prog, *P, C, CP.MaxOut).compile();
+    C.Keys.reserve(C.Code.size());
+    for (const VmInstr &In : C.Code)
+      C.Keys.push_back(uint8_t(In.K));
   }
   return CP;
 }

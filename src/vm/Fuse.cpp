@@ -14,7 +14,7 @@ using namespace cmm;
 // The supported pair set
 //===----------------------------------------------------------------------===//
 
-const std::vector<FusionPair> &FusionTable::supportedPairs() {
+const std::vector<FusionPair> &cmm::fusionPairs() {
   // Every First here falls through unconditionally (no transfers, no
   // Wrong), so executing the pair as one handler is a straight line. The
   // set covers the sequences the bench corpus spends its dispatches on:
@@ -90,60 +90,6 @@ const char *cmm::superOpName(TOp K) {
 }
 
 //===----------------------------------------------------------------------===//
-// FusionTable
-//===----------------------------------------------------------------------===//
-
-FusionTable::FusionTable() { Map.fill(uint8_t(TOp::NumTOps)); }
-
-void FusionTable::enable(const FusionPair &P) {
-  Map[unsigned(P.First) * NumBaseOps + unsigned(P.Second)] = uint8_t(P.Fused);
-  Enabled = true;
-}
-
-FusionTable FusionTable::all() {
-  FusionTable T;
-  for (const FusionPair &P : supportedPairs())
-    T.enable(P);
-  return T;
-}
-
-FusionTable FusionTable::none() { return FusionTable(); }
-
-FusionTable FusionTable::fromProfile(
-    const CompiledProgram &CP,
-    const std::unordered_map<const IrProc *, ProcProfile> &Procs,
-    double MinShare) {
-  // Weighted static pair counts: each adjacent straight-line pair in a
-  // procedure contributes that procedure's profiled step count (or 1 when
-  // the profile never saw it). The share threshold keeps only pairs that
-  // carry real dispatch mass.
-  std::array<double, size_t(TOp::NumTOps)> Weight{};
-  double Total = 0;
-  FusionTable Everything = all();
-  for (const CompiledProc &C : CP.Procs) {
-    if (!C.HasBody)
-      continue;
-    double W = 1;
-    if (auto It = Procs.find(C.Proc); It != Procs.end() && It->second.Steps)
-      W = double(It->second.Steps);
-    for (size_t Pc = 0; Pc + 1 < C.Code.size(); ++Pc) {
-      TOp F = Everything.lookup(C.Code[Pc].K, C.Code[Pc + 1].K);
-      if (F == TOp::NumTOps)
-        continue;
-      Weight[size_t(F)] += W;
-      Total += W;
-    }
-  }
-  FusionTable T;
-  if (Total == 0)
-    return T;
-  for (const FusionPair &P : supportedPairs())
-    if (Weight[size_t(P.Fused)] / Total >= MinShare)
-      T.enable(P);
-  return T;
-}
-
-//===----------------------------------------------------------------------===//
 // The pass
 //===----------------------------------------------------------------------===//
 
@@ -151,7 +97,7 @@ namespace {
 
 /// True when \p K always falls through to pc+1 on success — the condition
 /// for being the first half of a pair. (Transfers, branches, Wrong, and
-/// Yield never appear as a First in supportedPairs(), so this is a
+/// Yield never appear as a First in fusionPairs(), so this is a
 /// belt-and-braces check against future table entries.)
 bool fallsThrough(Op K) {
   switch (K) {
@@ -170,11 +116,23 @@ bool fallsThrough(Op K) {
   }
 }
 
+/// The superinstruction for (First, Second), or TOp::NumTOps when no
+/// supported pair applies.
+TOp fusedKey(Op First, Op Second) {
+  static const auto Map = [] {
+    std::array<uint8_t, NumBaseOps * NumBaseOps> M;
+    M.fill(uint8_t(TOp::NumTOps));
+    for (const FusionPair &P : fusionPairs())
+      M[unsigned(P.First) * NumBaseOps + unsigned(P.Second)] = uint8_t(P.Fused);
+    return M;
+  }();
+  return TOp(Map[unsigned(First) * NumBaseOps + unsigned(Second)]);
+}
+
 } // namespace
 
 std::shared_ptr<const ThreadedProgram>
-cmm::fuseProgram(std::shared_ptr<const CompiledProgram> Bytecode,
-                 const FusionTable &Table) {
+cmm::fuseProgram(std::shared_ptr<const CompiledProgram> Bytecode) {
   assert(Bytecode && "fuseProgram needs bytecode");
   auto TP = std::make_shared<ThreadedProgram>();
   TP->Bytecode = std::move(Bytecode);
@@ -182,9 +140,7 @@ cmm::fuseProgram(std::shared_ptr<const CompiledProgram> Bytecode,
   for (size_t PI = 0; PI < TP->Bytecode->Procs.size(); ++PI) {
     const CompiledProc &C = TP->Bytecode->Procs[PI];
     ThreadedProc &T = TP->Procs[PI];
-    T.Keys.resize(C.Code.size());
-    for (size_t Pc = 0; Pc < C.Code.size(); ++Pc)
-      T.Keys[Pc] = uint8_t(C.Code[Pc].K);
+    T.Keys = C.Keys;
     // Greedy pairing. Overlap is harmless by construction: a fused key at
     // pc executes Code[pc] and Code[pc+1] then dispatches at pc+2, and the
     // key at pc+1 — itself possibly fused — only runs when control reaches
@@ -193,7 +149,7 @@ cmm::fuseProgram(std::shared_ptr<const CompiledProgram> Bytecode,
     for (size_t Pc = 0; Pc + 1 < C.Code.size(); ++Pc) {
       if (!fallsThrough(C.Code[Pc].K))
         continue;
-      TOp F = Table.lookup(C.Code[Pc].K, C.Code[Pc + 1].K);
+      TOp F = fusedKey(C.Code[Pc].K, C.Code[Pc + 1].K);
       if (F == TOp::NumTOps) {
         ++TP->Fusion.MissedSites;
         continue;

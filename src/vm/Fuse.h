@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The peephole fusion pass behind the threaded executor (vm/Threaded.h).
+/// The peephole fusion pass behind the threaded backend (vm/Threaded.h).
 /// It post-processes a CompiledProgram into a ThreadedProgram: a per-pc
 /// dispatch-key stream in which hot adjacent instruction pairs are collapsed
 /// into superinstructions. The bytecode itself is untouched and the key
@@ -22,22 +22,20 @@
 ///    (budget, Steps, onStep) and goes-wrong checks in exactly the order
 ///    the plain dispatch loop would.
 ///
-/// The supported pair set is fixed at build time (each pair has a dedicated
-/// handler in the dispatch loop); a FusionTable selects which pairs are
-/// live, either wholesale (all / none — the bench ablation) or derived from
-/// Profiler data (fromProfile: static pair sites weighted by the profiler's
-/// per-procedure step counts).
+/// The pair set is fixed at build time: each pair has a dedicated handler in
+/// the dispatch loop. The vm backend runs the same loop over the unfused op
+/// stream (CompiledProc::Keys).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CMM_VM_FUSE_H
 #define CMM_VM_FUSE_H
 
-#include "obs/Profiler.h"
 #include "vm/Bytecode.h"
 
 #include <array>
 #include <memory>
+#include <vector>
 
 namespace cmm {
 
@@ -106,43 +104,8 @@ struct FusionPair {
   TOp Fused;
 };
 
-/// Selects which of the supported pairs the fusion pass applies.
-class FusionTable {
-public:
-  /// Every pair the dispatch loop has a handler for, in TOp order.
-  static const std::vector<FusionPair> &supportedPairs();
-
-  /// All supported pairs live (the default configuration).
-  static FusionTable all();
-  /// Fusion disabled — the key stream degenerates to the op stream. This is
-  /// the bench_interp ablation configuration.
-  static FusionTable none();
-
-  /// Derives a table from profile data: a supported pair is enabled when
-  /// its static occurrence count, weighted by the profiler's per-procedure
-  /// step counts (hot procedures vote with their executed steps), reaches
-  /// \p MinShare of the total weighted pair mass. With an empty profile
-  /// every procedure weighs 1, degrading gracefully to static frequency.
-  static FusionTable
-  fromProfile(const CompiledProgram &CP,
-              const std::unordered_map<const IrProc *, ProcProfile> &Procs,
-              double MinShare = 0.01);
-
-  /// The superinstruction for (First, Second), or TOp::NumTOps when the
-  /// pair is unsupported or disabled.
-  TOp lookup(Op First, Op Second) const {
-    return TOp(Map[unsigned(First) * NumBaseOps + unsigned(Second)]);
-  }
-
-  bool anyEnabled() const { return Enabled; }
-
-private:
-  FusionTable();
-  void enable(const FusionPair &P);
-
-  std::array<uint8_t, NumBaseOps * NumBaseOps> Map;
-  bool Enabled = false;
-};
+/// Every pair the dispatch loop has a handler for, in TOp order.
+const std::vector<FusionPair> &fusionPairs();
 
 /// Fuse-time statistics (static counts — the dispatch loop is never taxed
 /// with dynamic fusion counters).
@@ -171,11 +134,10 @@ struct ThreadedProgram {
   FusionStats Fusion;
 };
 
-/// Runs the fusion pass over \p Bytecode under \p Table. \p Bytecode must
-/// be non-null; the returned program co-owns it.
+/// Runs the fusion pass over \p Bytecode. \p Bytecode must be non-null;
+/// the returned program co-owns it.
 std::shared_ptr<const ThreadedProgram>
-fuseProgram(std::shared_ptr<const CompiledProgram> Bytecode,
-            const FusionTable &Table = FusionTable::all());
+fuseProgram(std::shared_ptr<const CompiledProgram> Bytecode);
 
 /// Renders procedure \p ProcIdx of \p TP as a listing in the style of
 /// disassemble(), with fused sites prefixed by their superinstruction

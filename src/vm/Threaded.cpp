@@ -1,27 +1,28 @@
-//===- vm/Threaded.cpp - Threaded dispatch loop ---------------------------===//
+//===- vm/Threaded.cpp - The bytecode dispatch loop -----------------------===//
 //
 // Part of cmmex (see DESIGN.md).
 //
-// The loop body below is a transcription of VmMachine::exec (vm/Vm.cpp)
-// into per-handler form: every check, counter increment, observer event,
-// and goes-wrong path appears in the same order at the same point. The
-// structural differences are (a) dispatch — each handler jumps straight to
-// the next instruction's handler through a label table instead of returning
-// to a shared switch head, (b) superinstructions — a fused key runs two
-// adjacent instructions in one handler, performing the second component's
-// node-boundary accounting inline exactly where the loop head would have,
-// and (c) state caching — the pc and the register-file/constant-pool data
-// pointers live in locals for the whole loop. The caching discipline:
+// The one dispatch loop of both bytecode backends. Every check, counter
+// increment, observer event, and goes-wrong path mirrors sem/Machine.cpp in
+// the same order at the same point. The loop's own structure is (a)
+// dispatch — each handler jumps straight to the next instruction's handler
+// through a label table indexed by the key stream (the op stream itself on
+// the vm backend, the fused stream on the threaded tier), (b)
+// superinstructions — a fused key runs two adjacent instructions in one
+// handler, performing the second component's node-boundary accounting
+// inline exactly where its own handler would have, and (c) state caching —
+// the pc and the register-file/constant-pool data pointers live in locals
+// for the whole loop. The caching discipline:
 //
 //  - the member Pc is written back at every exit from the loop (TRET),
-//    so between texec calls the member state is exactly the VM's;
+//    so between dispatch calls the member state is exact;
 //  - the three helpers that read or write the member Pc mid-loop get a
 //    sync around the call: rvUnbound (reads it to key RvSlotLocs),
 //    enterProc (writes the entry pc), and doCutTo (writes the target pc);
 //  - RELOAD refreshes every cached pointer after any operation that can
 //    move the underlying storage (frame pushes/pops, procedure changes).
 //
-// When the two loops disagree, Vm.cpp (and behind it sem/Machine.cpp) is
+// When this loop and the walker disagree, the walker (sem/Machine.cpp) is
 // right; the cmmdiff sweep and VmConformanceTest exist to say so.
 //
 //===----------------------------------------------------------------------===//
@@ -37,23 +38,7 @@
 
 using namespace cmm;
 
-// Dispatch model selection. CMM_NO_COMPUTED_GOTO (a CMake option) forces
-// the portable switch loop even on compilers with the labels-as-values
-// extension; the two builds are observably identical and CI runs tier-1 on
-// both.
-#if !defined(CMM_NO_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define CMM_THREADED_CGOTO 1
-#else
-#define CMM_THREADED_CGOTO 0
-#endif
-
-const char *cmm::threadedDispatchKind() {
-#if CMM_THREADED_CGOTO
-  return "computed-goto";
-#else
-  return "switch";
-#endif
-}
+const char *cmm::threadedDispatchKind() { return "computed-goto"; }
 
 ThreadedMachine::ThreadedMachine(const IrProgram &Prog)
     : ThreadedMachine(Prog,
@@ -62,15 +47,15 @@ ThreadedMachine::ThreadedMachine(const IrProgram &Prog)
 
 ThreadedMachine::ThreadedMachine(const IrProgram &Prog,
                                  std::shared_ptr<const ThreadedProgram> Shared)
-    : VmMachine(Prog, Shared->Bytecode), TP(std::move(Shared)) {}
+    : VmMachine(Prog, std::move(Shared)) {}
 
 //===----------------------------------------------------------------------===//
-// The threaded dispatch loop
+// The dispatch loop
 //===----------------------------------------------------------------------===//
 
 // Exit the loop: write the cached fuel, step count, and shadow pc back so
-// the machine's between-runs state is byte-identical to the VM's (resume,
-// suspension, goes-wrong states, and stats() all read the members).
+// the machine's between-runs state is exact (resume, suspension, goes-wrong
+// states, and stats() all read the members).
 #define TRET()                                                                 \
   do {                                                                         \
     Budget = Fuel;                                                             \
@@ -82,7 +67,7 @@ ThreadedMachine::ThreadedMachine(const IrProgram &Prog,
 
 // One abstract-machine transition begins at every FlagStartsNode
 // instruction: charge the budget, count the step, notify the observer —
-// identical to the loop head of VmMachine::exec. A budget-exhausted return
+// the walker's per-transition accounting. A budget-exhausted return
 // leaves Pc at the node boundary, so a resumed run (or a fused pair whose
 // second component hits the boundary) continues in exactly the state one
 // combined run reaches. Fuel and the step count stay in locals: the budget
@@ -113,12 +98,11 @@ ThreadedMachine::ThreadedMachine(const IrProgram &Prog,
   }
 
 // Refresh every cached pointer after any operation that can change the
-// current compiled procedure or move the register files (the VM's
-// Code-pointer invariant, extended to the key stream and the state cache).
+// current compiled procedure or move the register files.
 #define RELOAD()                                                               \
   do {                                                                         \
     Code = Cur->Code.data();                                                   \
-    Keys = TP->Procs[CurIdx].Keys.data();               \
+    Keys = dispatchKeys(CurIdx).data();                                        \
     ConstsP = Cur->Consts.data();                                              \
     RegsP = Regs.data();                                                       \
     BoundP = Bound.data();                                                     \
@@ -134,15 +118,9 @@ ThreadedMachine::ThreadedMachine(const IrProgram &Prog,
 // signExtend comparisons). Floats, division, and modulus decline (return
 // false) and take the out-of-line generic routine, which owns every
 // diagnostic string.
-#if defined(__GNUC__) || defined(__clang__)
-#define CMM_THREADED_INLINE __attribute__((always_inline)) inline
-#else
-#define CMM_THREADED_INLINE inline
-#endif
-
 namespace {
-CMM_THREADED_INLINE bool binFast(Value &Out, const Value &L, const Value &R,
-                                 unsigned OpKind) {
+CMM_VM_INLINE bool binFast(Value &Out, const Value &L, const Value &R,
+                           unsigned OpKind) {
   if (L.isFloat() || R.isFloat()) [[unlikely]]
     return false;
   const unsigned W = L.Width;
@@ -177,10 +155,10 @@ CMM_THREADED_INLINE bool binFast(Value &Out, const Value &L, const Value &R,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Instruction bodies. Each macro is the corresponding VmMachine::exec case
-// with `break`-on-failure rewritten as `TRET()` (the loop-head status
-// re-check it stood for). Bodies that fall through leave Pc at the next
-// instruction; transfer bodies set Pc and RELOAD().
+// Instruction bodies shared by the plain and the superinstruction handlers.
+// A failing check goes wrong and leaves the loop with TRET(). Bodies that
+// fall through leave Pc at the next instruction; transfer bodies set Pc and
+// RELOAD().
 //===----------------------------------------------------------------------===//
 
 #define BODY_UNARY()                                                           \
@@ -414,7 +392,7 @@ CMM_THREADED_INLINE bool binFast(Value &Out, const Value &L, const Value &R,
       TRET();                                                                  \
   }
 
-template <bool Observed> void ThreadedMachine::texec(uint64_t &Budget) {
+template <bool Observed> void VmMachine::dispatch(uint64_t &Budget) {
   if (St != MachineStatus::Running)
     return;
   // The state cache: the shadow pc and every hot data pointer live in
@@ -434,8 +412,11 @@ template <bool Observed> void ThreadedMachine::texec(uint64_t &Budget) {
   RELOAD();
   const VmInstr *I = nullptr;
 
-  // Identical to VmMachine::exec's operand read: constant pool, bound-
-  // checked named slot, or register. Null after going wrong. rvUnbound keys
+  // Reads a fused operand: a constant-pool value, an always-defined
+  // expression temporary, or a frame slot (bound-checked — the compiler
+  // fuses slots only where the walker's check would run at this point).
+  // Null after going wrong. The pointer is invalidated by frame pushes and
+  // pops; transfer ops copy the Value out first. rvUnbound keys
   // RvSlotLocs off the member Pc, so the shadow is synced before the call —
   // the member then holds the executing instruction's own pc, including for
   // the second component of a fused pair.
@@ -449,6 +430,8 @@ template <bool Observed> void ThreadedMachine::texec(uint64_t &Budget) {
     }
     return &RegsP[Enc];
   };
+  // Result routing for value producers: a register (binding the slot when
+  // the instruction is an Assign's retargeted tail) or a staging cell.
   auto StoreValue = [&](const VmInstr &In, const Value &V) {
     if (In.Flags & FlagStagesOut) {
       StagingP[In.A] = V;
@@ -459,7 +442,6 @@ template <bool Observed> void ThreadedMachine::texec(uint64_t &Budget) {
       BoundP[In.A] = 1;
   };
 
-#if CMM_THREADED_CGOTO
   // Label-address dispatch: the key stream indexes this table and every
   // handler ends with its own indirect jump, so the branch predictor sees
   // one branch site per (predecessor op, successor op) pair instead of a
@@ -488,13 +470,6 @@ template <bool Observed> void ThreadedMachine::texec(uint64_t &Budget) {
     goto *Labels[Keys[Pc]];                                                    \
   } while (0)
   DISPATCH();
-#else
-#define OPCASE(name) case TOp::name:
-#define DISPATCH() goto DispatchTop
-DispatchTop:
-  I = &Code[Pc];
-  switch (TOp(Keys[Pc])) {
-#endif
 
   OPCASE(LoadConst) {
     NODE_PROLOGUE(*I);
@@ -695,7 +670,7 @@ DispatchTop:
   // Superinstructions: component 1's handler body, then component 2's
   // node-boundary prologue and body inline. A budget-exhausted prologue
   // returns with Pc at the second component, whose standalone key resumes
-  // it — the split is invisible, exactly like the plain loop's.
+  // it — the split is invisible, exactly like an unfused run's.
 
   OPCASE(BinaryBinary) {
     NODE_PROLOGUE(*I);
@@ -817,34 +792,27 @@ DispatchTop:
     BODY_GOTO();
     DISPATCH();
   }
-
-#if !CMM_THREADED_CGOTO
-  case TOp::NumTOps:
-    break;
-  }
-  cmm_unreachable("bad dispatch key");
-#endif
 }
 
-template void ThreadedMachine::texec<true>(uint64_t &);
-template void ThreadedMachine::texec<false>(uint64_t &);
+template void VmMachine::dispatch<true>(uint64_t &);
+template void VmMachine::dispatch<false>(uint64_t &);
 
-MachineStatus ThreadedMachine::run(uint64_t MaxSteps) {
+MachineStatus VmMachine::run(uint64_t MaxSteps) {
   uint64_t Budget = MaxSteps;
-  if (observer())
-    texec<true>(Budget);
+  if (Obs)
+    dispatch<true>(Budget);
   else
-    texec<false>(Budget);
-  return status();
+    dispatch<false>(Budget);
+  return St;
 }
 
-bool ThreadedMachine::step() {
-  if (status() != MachineStatus::Running)
+bool VmMachine::step() {
+  if (St != MachineStatus::Running)
     return false;
   uint64_t Budget = 1;
-  if (observer())
-    texec<true>(Budget);
+  if (Obs)
+    dispatch<true>(Budget);
   else
-    texec<false>(Budget);
-  return status() == MachineStatus::Running;
+    dispatch<false>(Budget);
+  return St == MachineStatus::Running;
 }

@@ -5,34 +5,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The third executor tier: runs the register bytecode of vm/Bytecode.h
-/// through a threaded dispatch loop (computed-goto label-address dispatch on
-/// GCC/Clang; a portable switch fallback when CMM_NO_COMPUTED_GOTO is
-/// defined at configure time) over the superinstruction key stream produced
-/// by the fusion pass in vm/Fuse.h.
+/// The third executor tier: the bytecode machine of vm/Vm.h running the
+/// superinstruction key stream produced by the fusion pass in vm/Fuse.h.
 ///
-/// ThreadedMachine derives from VmMachine and replaces only the dispatch
-/// loop: frames, cuts, the Table 1 run-time substrate, global access, and
-/// the expression slow paths are the VM's own code, so every observable —
-/// goes-wrong reasons and locations (including fused-operand wrongLoc via
-/// RvSlotLocs), the 13 Stats counters, MachineObserver events, and
-/// node-boundary fuel accounting — is preserved by construction everywhere
-/// except the loop, and the loop's preservation argument is in
-/// docs/BYTECODE.md § "Threaded tier".
+/// Both bytecode backends run one dispatch loop (computed-goto label-address
+/// dispatch, vm/Threaded.cpp); the vm backend feeds it the op stream, this
+/// tier the fused stream. Frames, cuts, the Table 1 run-time substrate,
+/// global access, and the expression slow paths are shared too, so every
+/// observable — goes-wrong reasons and locations (including fused-operand
+/// wrongLoc via RvSlotLocs), the 13 Stats counters, MachineObserver events,
+/// and node-boundary fuel accounting — is the vm backend's by construction
+/// except inside superinstruction handlers, whose preservation argument is
+/// in docs/BYTECODE.md § "Threaded tier".
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CMM_VM_THREADED_H
 #define CMM_VM_THREADED_H
 
-#include "vm/Fuse.h"
 #include "vm/Vm.h"
 
 namespace cmm {
 
-/// The dispatch model this build selected: "computed-goto" on GCC/Clang, or
-/// "switch" under -DCMM_NO_COMPUTED_GOTO (recorded in bench metadata so the
-/// two builds' numbers are never conflated).
+/// The dispatch model of the bytecode loop ("computed-goto"), recorded in
+/// bench metadata.
 const char *threadedDispatchKind();
 
 /// The threaded-code executor. One ThreadedMachine is one C-- thread.
@@ -50,16 +46,8 @@ public:
 
   std::string_view backendName() const override { return "threaded"; }
 
-  bool step() override;
-  MachineStatus run(uint64_t MaxSteps = ~uint64_t(0)) override;
-
   /// The fused form (for cmmi --dump-bytecode and tests).
-  const ThreadedProgram &threadedProgram() const { return *TP; }
-
-private:
-  template <bool Observed> void texec(uint64_t &Budget);
-
-  std::shared_ptr<const ThreadedProgram> TP;
+  const ThreadedProgram &threadedProgram() const { return *Fused; }
 };
 
 } // namespace cmm

@@ -1,12 +1,13 @@
-//===- vm/Vm.cpp - Bytecode dispatch loop ---------------------------------===//
+//===- vm/Vm.cpp - Bytecode machine state, frames, cuts -------------------===//
 //
 // Part of cmmex (see DESIGN.md).
 //
-// Every transition, goes-wrong rule, counter increment, and observer event
-// mirrors sem/Machine.cpp exactly — that file is the reference; when the
-// two disagree, the walker is right and the differential harness will say
-// so. Budget accounting happens at node boundaries (FlagStartsNode), so a
-// run split at any step budget agrees with the walker's run/resume split.
+// Everything of the bytecode machine except the dispatch loop (which is in
+// vm/Threaded.cpp): start, frames, the expression slow paths, cuts, and the
+// Table 1 run-time substrate. Every transition, goes-wrong rule, counter
+// increment, and observer event mirrors sem/Machine.cpp exactly — that file
+// is the reference; when the two disagree, the walker is right and the
+// differential harness will say so.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +15,6 @@
 
 #include "sem/Observer.h"
 #include "support/Assert.h"
-#include "support/Casting.h"
 #include "syntax/PrimOps.h"
 
 #include <algorithm>
@@ -38,6 +38,12 @@ VmMachine::VmMachine(const IrProgram &Prog,
     MaxRegs = std::max<uint32_t>(MaxRegs, C.NumRegs);
     MaxSlots = std::max<uint32_t>(MaxSlots, C.NumSlots);
   }
+}
+
+VmMachine::VmMachine(const IrProgram &Prog,
+                     std::shared_ptr<const ThreadedProgram> Shared)
+    : VmMachine(Prog, Shared->Bytecode) {
+  Fused = std::move(Shared);
 }
 
 void VmMachine::goWrong(std::string Reason, SourceLoc Loc) {
@@ -84,7 +90,7 @@ const IrProc *VmMachine::decodeCode(const Value &V) const {
   return CodeTable[Idx];
 }
 
-// decodeCodeIdx and newCont live in Vm.h: both dispatch loops hit them on
+// decodeCodeIdx and newCont live in Vm.h: the dispatch loop hits them on
 // every transfer (resp. every Entry node), and both are a handful of
 // instructions once inlined.
 
@@ -215,8 +221,8 @@ void VmMachine::enterProcAt(uint32_t ProcIdx, const IrProc *P,
   Sigma.clear();
 }
 
-// pushFrame and restoreFrame live in Vm.h: both dispatch loops execute them
-// on every call and return, and inlining spares the spill of the loops'
+// pushFrame and restoreFrame live in Vm.h: the dispatch loop executes them
+// on every call and return, and inlining spares the spill of the loop's
 // cached state around an out-of-line call.
 
 //===----------------------------------------------------------------------===//
@@ -224,8 +230,7 @@ void VmMachine::enterProcAt(uint32_t ProcIdx, const IrProc *P,
 //===----------------------------------------------------------------------===//
 
 // applyUnary and applyBinary live in Vm.h: they are the hottest slow paths
-// of both dispatch loops, and the threaded tier (Threaded.cpp) needs them
-// inlined just as this translation unit gets them inlined into exec.
+// of the dispatch loop, which lives in Threaded.cpp and needs them inlined.
 
 bool VmMachine::applyPrim(Value &Out, unsigned PrimOp, const Value *Args,
                           unsigned Count, SourceLoc Loc) {
@@ -419,388 +424,6 @@ bool VmMachine::applyPrim(Value &Out, unsigned PrimOp, const Value *Args,
   }
   }
   cmm_unreachable("unknown primitive kind");
-}
-
-//===----------------------------------------------------------------------===//
-// The dispatch loop
-//===----------------------------------------------------------------------===//
-
-template <bool Observed> void VmMachine::exec(uint64_t &Budget) {
-  if (St != MachineStatus::Running)
-    return;
-  // Hot-loop invariant: Code == Cur->Code.data(). Refreshed after every
-  // operation that can change the current compiled procedure.
-  const VmInstr *Code = Cur->Code.data();
-
-  // Reads a fused operand: a constant-pool value, an always-defined
-  // expression temporary, or a frame slot (bound-checked — the compiler
-  // fuses slots only where the walker's check would run at this point).
-  // Returns null after going wrong. The pointer is invalidated by frame
-  // pushes and pops; transfer ops copy the Value out first.
-  auto ReadOperand = [&](uint16_t Enc, const VmInstr &I,
-                         unsigned Field) -> const Value * {
-    if (Enc & OperandConst)
-      return &Cur->Consts[Enc & OperandIndexMask];
-    if (Enc < Cur->NumSlots && !Bound[Enc]) [[unlikely]]
-      return rvUnbound(Enc, I, Field);
-    return &Regs[Enc];
-  };
-  // Result routing for value producers: a register (binding the slot when
-  // the instruction is an Assign's retargeted tail) or a staging cell.
-  auto StoreValue = [&](const VmInstr &I, const Value &V) {
-    if (I.Flags & FlagStagesOut) {
-      Staging[I.A] = V;
-      return;
-    }
-    Regs[I.A] = V;
-    if (I.Flags & FlagSetsBound)
-      Bound[I.A] = 1;
-  };
-
-  while (St == MachineStatus::Running) {
-    const VmInstr &I = Code[Pc];
-    if (I.Flags & FlagStartsNode) {
-      if (Budget == 0)
-        return; // step budget exhausted at a node boundary
-      --Budget;
-      if (I.K != Op::YieldOp) {
-        // Yield suspensions are not transitions (the walker un-counts
-        // them), so neither Steps nor onStep fires for them.
-        ++S.Steps;
-        if constexpr (Observed)
-          Obs->onStep(*this, I.N);
-      }
-    }
-
-    switch (I.K) {
-    case Op::LoadConst: {
-      StoreValue(I, Cur->Consts[I.Imm]);
-      ++Pc;
-      break;
-    }
-    case Op::LoadLocal: {
-      if (!Bound[I.B]) {
-        wrongUnbound(I.B, I.Loc);
-        break;
-      }
-      StoreValue(I, Regs[I.B]);
-      ++Pc;
-      break;
-    }
-    case Op::LoadGlobal: {
-      const Value *V = GlobalEnv.lookup(Cur->Syms[I.Imm]);
-      if (!V) {
-        goWrong("use of unknown global '" +
-                    Prog.Names->spelling(Cur->Syms[I.Imm]) + "'",
-                I.Loc);
-        break;
-      }
-      StoreValue(I, *V);
-      ++Pc;
-      break;
-    }
-    case Op::LoadNameDyn: {
-      const Value *V = GlobalEnv.lookup(Cur->Syms[I.Imm]);
-      if (!V) {
-        goWrong("unresolved name '" +
-                    Prog.Names->spelling(Cur->Syms[I.Imm]) + "'",
-                I.Loc);
-        break;
-      }
-      StoreValue(I, *V);
-      ++Pc;
-      break;
-    }
-    case Op::Unary: {
-      const Value *B = ReadOperand(I.B, I, 1);
-      if (!B)
-        break;
-      Value Out;
-      if (!applyUnary(Out, *B, I.Imm))
-        break;
-      StoreValue(I, Out);
-      ++Pc;
-      break;
-    }
-    case Op::Binary: {
-      const Value *B = ReadOperand(I.B, I, 1);
-      if (!B)
-        break;
-      const Value *C = ReadOperand(I.C, I, 2);
-      if (!C)
-        break;
-      Value Out;
-      if (!applyBinary(Out, *B, *C, I.Imm, I.Loc))
-        break;
-      StoreValue(I, Out);
-      ++Pc;
-      break;
-    }
-    case Op::Prim: {
-      unsigned Count = I.Imm >> 16;
-      Value Args[2];
-      if (Count > 0) {
-        const Value *P = ReadOperand(I.B, I, 1);
-        if (!P)
-          break;
-        Args[0] = *P;
-      }
-      if (Count > 1) {
-        const Value *P = ReadOperand(I.C, I, 2);
-        if (!P)
-          break;
-        Args[1] = *P;
-      }
-      Value Out;
-      if (!applyPrim(Out, I.Imm & 0xffff, Args, Count, I.Loc))
-        break;
-      StoreValue(I, Out);
-      ++Pc;
-      break;
-    }
-    case Op::MemLoad: {
-      const Value *B = ReadOperand(I.B, I, 1);
-      if (!B)
-        break;
-      ++S.Loads; // after the address check, like the walker
-      unsigned W = I.Imm >> 1;
-      uint64_t Addr = B->Raw;
-      StoreValue(I, (I.Imm & 1) ? Value::flt(W, Mem.loadFloat(Addr, W / 8))
-                                : Value::bits(W, Mem.loadBits(Addr, W / 8)));
-      ++Pc;
-      break;
-    }
-    case Op::Wrong: {
-      goWrong(Cur->Msgs[I.Imm], I.Loc);
-      break;
-    }
-    case Op::SetGlobal: {
-      const Value *B = ReadOperand(I.B, I, 1);
-      if (!B)
-        break;
-      GlobalEnv.bind(Cur->Syms[I.Imm], *B);
-      ++Pc;
-      break;
-    }
-    case Op::MemStore: {
-      const Value *AddrV = ReadOperand(I.A, I, 0);
-      if (!AddrV)
-        break;
-      const Value *B = ReadOperand(I.B, I, 1);
-      if (!B)
-        break;
-      ++S.Stores; // after both operand checks, like the walker
-      unsigned W = I.Imm >> 1;
-      uint64_t Addr = AddrV->Raw;
-      if (I.Imm & 1)
-        Mem.storeFloat(Addr, W / 8, B->F);
-      else
-        Mem.storeBits(Addr, W / 8, B->Raw);
-      ++Pc;
-      break;
-    }
-    case Op::StageOut: {
-      const Value *B = ReadOperand(I.B, I, 1);
-      if (!B)
-        break;
-      Staging[I.Imm] = *B;
-      ++Pc;
-      break;
-    }
-    case Op::Commit: {
-      A.assign(Staging.begin(), Staging.begin() + I.Imm);
-      ++Pc;
-      break;
-    }
-    case Op::CopyIn: {
-      const std::vector<CopyDest> &Plan = Cur->CopyPlans[I.Imm];
-      if (A.size() < Plan.size()) {
-        goWrong("too few values in the argument-passing area: need " +
-                    std::to_string(Plan.size()) + ", have " +
-                    std::to_string(A.size()),
-                I.Loc);
-        break;
-      }
-      for (size_t J = 0; J < Plan.size(); ++J) {
-        const CopyDest &D = Plan[J];
-        if (D.Global) {
-          GlobalEnv.bind(D.Sym, A[J]);
-        } else {
-          Regs[D.Slot] = A[J];
-          Bound[D.Slot] = 1;
-        }
-      }
-      A.clear(); // CopyIn replaces A by the empty list
-      ++Pc;
-      break;
-    }
-    case Op::CalleeSaves: {
-      const std::vector<uint16_t> &Saved = Cur->SavePlans[I.Imm];
-      for (uint16_t V : Saved)
-        if (std::find(Sigma.begin(), Sigma.end(), V) == Sigma.end())
-          ++S.CalleeSaveMoves;
-      for (uint16_t V : Sigma)
-        if (std::find(Saved.begin(), Saved.end(), V) == Saved.end())
-          ++S.CalleeSaveMoves;
-      Sigma = Saved;
-      ++Pc;
-      break;
-    }
-    case Op::EntryOp: {
-      // Entry binds the procedure's continuations into an empty
-      // environment; the incoming environment is discarded.
-      std::fill_n(Bound.begin(), Cur->NumSlots, 0);
-      Sigma.clear();
-      for (const auto &[Slot, Target] : Cur->EntryPlans[I.Imm]) {
-        uint64_t Handle = newCont(Target);
-        Regs[Slot] = Value::cont(Handle);
-        Bound[Slot] = 1;
-      }
-      ++Pc;
-      break;
-    }
-    case Op::Goto:
-      Pc = I.Imm;
-      break;
-    case Op::BranchIf: {
-      const Value *B = ReadOperand(I.B, I, 1);
-      if (!B)
-        break;
-      Pc = B->isTruthy() ? I.Imm : Pc + 1;
-      break;
-    }
-    case Op::BranchCmp: {
-      const Value *B = ReadOperand(I.B, I, 1);
-      if (!B)
-        break;
-      const Value *C = ReadOperand(I.C, I, 2);
-      if (!C)
-        break;
-      Value Out;
-      if (!applyBinary(Out, *B, *C, I.A, I.Loc))
-        break;
-      Pc = Out.isTruthy() ? I.Imm : Pc + 1;
-      break;
-    }
-    case Op::ExitOp: {
-      unsigned ContIndex = I.A, AltCount = I.B;
-      if (Stack.empty()) {
-        if (ContIndex == 0 && AltCount == 0) {
-          St = MachineStatus::Halted; // terminated normally
-          if constexpr (Observed)
-            Obs->onHalt(*this);
-        } else {
-          goWrong("abnormal return with an empty stack", I.Loc);
-        }
-        break;
-      }
-      VmFrame F = std::move(Stack.back());
-      Stack.pop_back();
-      const ContBundle &B = F.CallSite->Bundle;
-      if (B.ReturnsTo.size() != size_t(AltCount) + 1) {
-        goWrong("return <" + std::to_string(ContIndex) + "/" +
-                    std::to_string(AltCount) + "> at a call site with " +
-                    std::to_string(B.ReturnsTo.size() - 1) +
-                    " alternate return continuations",
-                I.Loc);
-        break;
-      }
-      if (ContIndex >= B.ReturnsTo.size()) {
-        goWrong("return continuation index out of range", I.Loc);
-        break;
-      }
-      const IrProc *Callee = CurProc;
-      restoreFrame(F);
-      Pc = pcOf(*Cur, B.ReturnsTo[ContIndex]);
-      Code = Cur->Code.data();
-      ++S.Returns;
-      if constexpr (Observed)
-        Obs->onReturn(*this, F.CallSite, Callee, CurProc, ContIndex);
-      break;
-    }
-    case Op::CallOp: {
-      const Value *CalleeV = ReadOperand(I.B, I, 1);
-      if (!CalleeV)
-        break;
-      const Value Callee = *CalleeV; // pushFrame moves Regs out
-      const int64_t TargetIdx = decodeCodeIdx(Callee);
-      if (TargetIdx < 0) {
-        goWrong("call target is not code (" + Callee.str() + ")", I.Loc);
-        break;
-      }
-      const IrProc *Target = CodeTable[TargetIdx];
-      const auto *CN = cast<CallNode>(I.N);
-      const IrProc *Caller = CurProc;
-      pushFrame(CN);
-      enterProcAt(uint32_t(TargetIdx), Target, I.Loc);
-      Code = Cur->Code.data();
-      ++S.Calls;
-      if constexpr (Observed)
-        Obs->onCall(*this, CN, Caller, Target);
-      break;
-    }
-    case Op::JumpOp: {
-      const Value *CalleeV = ReadOperand(I.B, I, 1);
-      if (!CalleeV)
-        break;
-      const Value Callee = *CalleeV; // enterProc may grow Regs
-      const int64_t TargetIdx = decodeCodeIdx(Callee);
-      if (TargetIdx < 0) {
-        goWrong("jump target is not code (" + Callee.str() + ")", I.Loc);
-        break;
-      }
-      const IrProc *Target = CodeTable[TargetIdx];
-      // Tail call: the caller's resources are deallocated before the call;
-      // the continuation bundle on the stack is reused.
-      const IrProc *Caller = CurProc;
-      enterProcAt(uint32_t(TargetIdx), Target, I.Loc);
-      Code = Cur->Code.data();
-      ++S.Jumps;
-      if constexpr (Observed)
-        Obs->onJump(*this, cast<JumpNode>(I.N), Caller, Target);
-      break;
-    }
-    case Op::CutToOp: {
-      const Value *ContV = ReadOperand(I.B, I, 1);
-      if (!ContV)
-        break;
-      const Value Cont = *ContV; // doCutTo pops frames under the operand
-      doCutTo(Cont, cast<CutToNode>(I.N));
-      Code = Cur->Code.data();
-      break;
-    }
-    case Op::YieldOp: {
-      ++S.Yields;
-      St = MachineStatus::Suspended;
-      if constexpr (Observed)
-        Obs->onYield(*this);
-      break;
-    }
-    }
-  }
-}
-
-template void VmMachine::exec<true>(uint64_t &);
-template void VmMachine::exec<false>(uint64_t &);
-
-MachineStatus VmMachine::run(uint64_t MaxSteps) {
-  uint64_t Budget = MaxSteps;
-  if (Obs)
-    exec<true>(Budget);
-  else
-    exec<false>(Budget);
-  return St;
-}
-
-bool VmMachine::step() {
-  if (St != MachineStatus::Running)
-    return false;
-  uint64_t Budget = 1;
-  if (Obs)
-    exec<true>(Budget);
-  else
-    exec<false>(Budget);
-  return St == MachineStatus::Running;
 }
 
 //===----------------------------------------------------------------------===//

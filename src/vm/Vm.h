@@ -6,7 +6,8 @@
 ///
 /// \file
 /// The bytecode VM: compiles the checked IR to the register bytecode of
-/// vm/Bytecode.h (once, at construction) and runs it in a dispatch loop.
+/// vm/Bytecode.h (once, at construction) and runs it in the threaded
+/// dispatch loop of vm/Threaded.cpp over the unfused key stream.
 /// Observable semantics are identical to the reference tree walker
 /// (sem/Machine.h): the seven-component state, every goes-wrong rule with
 /// the same diagnostic strings, Suspended at Yield nodes, the Table 1
@@ -23,7 +24,7 @@
 #include "sem/Executor.h"
 #include "support/Assert.h"
 #include "support/Bits.h"
-#include "vm/Bytecode.h"
+#include "vm/Fuse.h"
 
 namespace cmm {
 
@@ -41,10 +42,10 @@ struct VmFrame {
 };
 
 /// The bytecode executor. One VmMachine is one C-- thread. The threaded
-/// tier (vm/Threaded.h) derives from it: everything except the dispatch
-/// loop itself — frames, cuts, the run-time substrate, the expression slow
-/// paths — is shared, so the two tiers cannot drift apart anywhere but the
-/// loop.
+/// tier (vm/Threaded.h) derives from it and differs only in the key stream
+/// the one dispatch loop runs: fused superinstruction keys instead of the
+/// op stream. Frames, cuts, the run-time substrate, the expression slow
+/// paths, and the loop itself are shared.
 class VmMachine : public Executor {
 public:
   explicit VmMachine(const IrProgram &Prog);
@@ -98,10 +99,22 @@ public:
   /// The compiled form (for cmmi --dump-bytecode and tests).
   const CompiledProgram &compiled() const { return CP; }
 
+  /// The dispatch-key stream the loop runs for procedure \p ProcIdx: the
+  /// fused stream when this machine runs a ThreadedProgram, otherwise the
+  /// bytecode's own op stream (CompiledProc::Keys). Parallel to Code.
+  const std::vector<uint8_t> &dispatchKeys(uint32_t ProcIdx) const {
+    return Fused ? Fused->Procs[ProcIdx].Keys : CP.Procs[ProcIdx].Keys;
+  }
+
 private:
-  template <bool Observed> void exec(uint64_t &Budget);
+  /// The dispatch loop (vm/Threaded.cpp).
+  template <bool Observed> void dispatch(uint64_t &Budget);
 
 protected:
+  /// Runs over \p Shared 's fused key streams (the threaded tier).
+  VmMachine(const IrProgram &Prog,
+            std::shared_ptr<const ThreadedProgram> Shared);
+
 #if defined(__GNUC__) || defined(__clang__)
 #define CMM_VM_INLINE __attribute__((always_inline)) inline
 #else
@@ -116,7 +129,7 @@ protected:
   const Value *rvUnbound(uint16_t Slot, const VmInstr &I, unsigned Field);
   void enterProc(const IrProc *P, SourceLoc Loc);
   // The per-call/per-return frame shuffles: forced inline so the dispatch
-  // loops keep their cached state in registers across them (GCC declines
+  // loop keeps their cached state in registers across them (GCC declines
   // the inline at -O2, and the out-of-line call spills on every transfer).
   CMM_VM_INLINE void pushFrame(const CallNode *Site);
   CMM_VM_INLINE void restoreFrame(VmFrame &F);
@@ -124,7 +137,7 @@ protected:
   const IrProc *decodeCode(const Value &V) const;
   /// decodeCode, but yielding the dense procedure index (-1 when \p V is
   /// not a valid code value). CodeTable and CP.Procs share IrProgram::Procs
-  /// order, so one index addresses both; the dispatch loops resolve call
+  /// order, so one index addresses both; the dispatch loop resolves call
   /// and jump targets through it without byProc's hash lookup.
   int64_t decodeCodeIdx(const Value &V) const;
   /// enterProc for a target already resolved to its dense index.
@@ -134,10 +147,10 @@ protected:
     return C.PcOfNode[N->Id];
   }
 
-  // Shared slow paths of the dispatch loop (exact walker semantics).
-  // applyUnary/applyBinary are defined inline below: both the VM's switch
-  // loop and the threaded tier's loop (a separate translation unit) must be
-  // able to inline them — they dominate expression-heavy workloads.
+  // Slow paths of the dispatch loop (exact walker semantics).
+  // applyUnary/applyBinary are defined inline below: the loop lives in a
+  // separate translation unit and must be able to inline them — they
+  // dominate expression-heavy workloads.
   bool applyUnary(Value &Out, const Value &V, unsigned OpKind);
   bool applyBinary(Value &Out, const Value &L, const Value &R,
                    unsigned OpKind, SourceLoc Loc);
@@ -150,6 +163,8 @@ protected:
   /// sharing is safe). CP is the alias the hot paths read through.
   std::shared_ptr<const CompiledProgram> CPHold;
   const CompiledProgram &CP;
+  /// The fused key streams over CP (threaded tier), or null (vm backend).
+  std::shared_ptr<const ThreadedProgram> Fused;
 
   // The seven state components (p as a pc into the current compiled proc;
   // ρ as Regs+Bound; σ as slot indices).
@@ -165,8 +180,8 @@ protected:
   // Bookkeeping beyond the formal state.
   const CompiledProc *Cur = nullptr;
   /// Dense index of Cur in CP.Procs (== index of CurProc in Prog.Procs and
-  /// CodeTable). The threaded tier's reload path addresses its parallel
-  /// per-proc tables through it without a pointer-difference division.
+  /// CodeTable). The loop's reload path addresses the per-proc key streams
+  /// through it without a pointer-difference division.
   uint32_t CurIdx = 0;
   const IrProc *CurProc = nullptr;
   Env GlobalEnv;

@@ -328,6 +328,12 @@ main() {
 struct DivCase {
   const char *Expr;
   uint64_t A, B;
+
+  // Printed by value, never as the raw struct bytes: those hold the Expr
+  // pointer, which would make the listed test names differ run to run.
+  friend void PrintTo(const DivCase &C, std::ostream *Os) {
+    *Os << C.Expr << std::hex << " a=0x" << C.A << " b=0x" << C.B;
+  }
 };
 
 class DivWrongTest : public ::testing::TestWithParam<DivCase> {};

@@ -111,6 +111,13 @@ main() {
 struct ArithCase {
   const char *Expr;
   uint64_t A, B, Expected;
+
+  // Printed by value, never as the raw struct bytes: those hold the Expr
+  // pointer, which would make the listed test names differ run to run.
+  friend void PrintTo(const ArithCase &C, std::ostream *Os) {
+    *Os << C.Expr << std::hex << " a=0x" << C.A << " b=0x" << C.B << " -> 0x"
+        << C.Expected;
+  }
 };
 
 class ArithTest : public ::testing::TestWithParam<ArithCase> {};

@@ -144,6 +144,9 @@ void expectRoundTrips(const IrProgram &P) {
   serializeBytecode(*C2, *P2, BW2);
   EXPECT_EQ(BW1.buffer(), BW2.buffer())
       << "bytecode round trip not byte-identical";
+  // The dispatch keys are rebuilt at decode, not serialized.
+  for (size_t I = 0; I < C.Procs.size(); ++I)
+    EXPECT_EQ(C.Procs[I].Keys, C2->Procs[I].Keys);
 
   // The decoded program runs like the original.
   expectSameOutcome(runMain(P), runMain(*P2));

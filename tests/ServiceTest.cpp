@@ -469,6 +469,20 @@ TEST(ServiceSession, ActivelyDrivenSessionSurvivesTtl) {
   EXPECT_TRUE(C->closeSession("t", S));
 }
 
+TEST(ServiceSession, StampAfterTheSweepClockIsNotExpired) {
+  // The reaper samples its clock before it takes the session table lock, so
+  // a session used in between carries a later stamp. Its idle age is zero,
+  // not a wrapped-around unsigned difference.
+  const uint64_t Ttl = 250'000;
+  const uint64_t Now = 1'000'000;
+  EXPECT_FALSE(svc::sessionIdleExpired(Now, Now + 1, Ttl));
+  EXPECT_FALSE(svc::sessionIdleExpired(Now, Now + Ttl * 4, Ttl));
+  EXPECT_FALSE(svc::sessionIdleExpired(Now, Now, Ttl));
+  EXPECT_FALSE(svc::sessionIdleExpired(Now, Now - Ttl + 1, Ttl));
+  EXPECT_TRUE(svc::sessionIdleExpired(Now, Now - Ttl, Ttl));
+  EXPECT_TRUE(svc::sessionIdleExpired(Now, 0, Ttl));
+}
+
 //===----------------------------------------------------------------------===//
 // Graceful shutdown
 //===----------------------------------------------------------------------===//
@@ -530,13 +544,18 @@ TEST(ServiceShutdown, ConcurrentStopNeverLosesAccounting) {
     H.emplace(std::move(O));
     ASSERT_TRUE(H->ok());
 
+    // Connect (and be served once) before the stop clock starts: a driver
+    // thread that has not been scheduled by then would find the listener
+    // already shut down.
+    std::vector<std::unique_ptr<svc::Client>> Clients;
+    for (int T = 0; T < 3; ++T) {
+      Clients.push_back(H->client());
+      ASSERT_TRUE(Clients.back() && Clients.back()->ping());
+    }
     std::atomic<bool> Stop{false};
     std::vector<std::thread> Drivers;
     for (int T = 0; T < 3; ++T) {
-      Drivers.emplace_back([&H, &Stop, T] {
-        auto C = H->client();
-        if (!C)
-          return;
+      Drivers.emplace_back([&Stop, T, C = std::move(Clients[size_t(T)])] {
         for (int I = 0; I < 64 && C->ok() && !Stop.load(); ++I) {
           if (T == 0) {
             // Park a session and immediately drive it to completion.

@@ -436,15 +436,33 @@ main(bits32 n) {
 TEST(VmConformance, ThreadedStreamStaysPcParallel) {
   // The fused key stream must be exactly as long as the bytecode (branch
   // targets and RvSlotLocs keep meaning), and the threaded listing renders
-  // superinstruction mnemonics at fused sites.
+  // superinstruction mnemonics at fused sites. The vm backend runs the same
+  // loop over the op stream itself: pc for pc, no fused key.
   auto Prog = compile({towers()});
   ASSERT_TRUE(Prog);
   ThreadedMachine T(*Prog);
   const ThreadedProgram &TP = T.threadedProgram();
   ASSERT_EQ(TP.Procs.size(), TP.Bytecode->Procs.size());
-  for (size_t I = 0; I < TP.Procs.size(); ++I)
+  for (uint32_t I = 0; I < TP.Procs.size(); ++I) {
     EXPECT_EQ(TP.Procs[I].Keys.size(), TP.Bytecode->Procs[I].Code.size());
+    EXPECT_EQ(&T.dispatchKeys(I), &TP.Procs[I].Keys);
+  }
   EXPECT_GT(TP.Fusion.FusedSites, 0u);
+
+  std::unique_ptr<Executor> E =
+      engine::makeExecutor(engine::Backend::Vm, *Prog);
+  ASSERT_EQ(E->backendName(), "vm");
+  const auto *V = static_cast<const VmMachine *>(E.get());
+  const CompiledProgram &CP = V->compiled();
+  for (uint32_t I = 0; I < CP.Procs.size(); ++I) {
+    const std::vector<VmInstr> &Code = CP.Procs[I].Code;
+    const std::vector<uint8_t> &Keys = V->dispatchKeys(I);
+    ASSERT_EQ(Keys.size(), Code.size());
+    for (size_t Pc = 0; Pc < Code.size(); ++Pc) {
+      EXPECT_EQ(Keys[Pc], uint8_t(Code[Pc].K)) << "proc " << I << " pc " << Pc;
+      EXPECT_LT(unsigned(Keys[Pc]), NumBaseOps);
+    }
+  }
   std::string Listing;
   for (uint32_t PI = 0; PI < TP.Procs.size(); ++PI)
     Listing += disassembleThreaded(TP, PI, *Prog->Names);

@@ -286,7 +286,7 @@ int main(int Argc, char **Argv) {
       std::printf("fusion: %llu sites fused, %llu candidate pairs unfused\n",
                   (unsigned long long)TP->Fusion.FusedSites,
                   (unsigned long long)TP->Fusion.MissedSites);
-      for (const FusionPair &P : FusionTable::supportedPairs())
+      for (const FusionPair &P : fusionPairs())
         if (uint64_t N = TP->Fusion.SitesByOp[size_t(P.Fused)])
           std::printf("  %-14s %llu\n", superOpName(P.Fused),
                       (unsigned long long)N);
