@@ -29,11 +29,15 @@
 #include "obs/Metrics.h"
 #include "sem/Machine.h"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace cmm::bench {
@@ -63,6 +67,16 @@ compileOrDie(const std::vector<std::string> &Sources) {
 }
 
 inline Value b32(uint64_t V) { return Value::bits(32, V); }
+
+/// CPUs this process may run on (sched_getaffinity, which honours cgroup
+/// and taskset limits), not the machine's hardware_concurrency().
+inline unsigned affinityCpus() {
+  cpu_set_t Set;
+  CPU_ZERO(&Set);
+  if (sched_getaffinity(0, sizeof Set, &Set) == 0)
+    return unsigned(std::max(1, CPU_COUNT(&Set)));
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 //===----------------------------------------------------------------------===//
 // ManualSuite: BENCH_<suite>.json without Google Benchmark

@@ -200,28 +200,48 @@ void compileDiskWarm(benchmark::State &State) {
   // the RAM tier and loads the serialized artifact instead of recompiling;
   // the gap to compile_cold is what the disk tier saves per compile, the
   // gap to compile_warm is what deserialization costs over a map probe.
+  // The store lives in a directory private to this process (concurrent
+  // runs never share or delete each other's), removed at exit.
+  struct ProcessDir {
+    std::string Path;
+    ProcessDir(const ProcessDir &) = delete;
+    ProcessDir() {
+      std::string T = (std::filesystem::temp_directory_path() /
+                       "cmmex_bench_disk_warm.XXXXXX")
+                          .string();
+      if (mkdtemp(T.data()))
+        Path = T;
+    }
+    ~ProcessDir() {
+      std::error_code Ec;
+      if (!Path.empty())
+        std::filesystem::remove_all(Path, Ec);
+    }
+  };
   const std::vector<std::string> &Corpus = coldCorpus();
-  static const std::string Dir = [&] {
-    std::filesystem::path P =
-        std::filesystem::temp_directory_path() / "cmmex_bench_disk_warm";
-    std::error_code Ec;
-    std::filesystem::remove_all(P, Ec);
+  static const ProcessDir Dir;
+  if (Dir.Path.empty()) {
+    State.SkipWithError("mkdtemp failed");
+    return;
+  }
+  static const bool Primed = [&] {
     engine::EngineOptions EO;
     EO.Threads = 1;
     EO.CacheCapacity = 64;
-    EO.CacheDir = P.string();
+    EO.CacheDir = Dir.Path;
     engine::Engine Prime(EO);
-    for (const std::string &Src : coldCorpus()) {
+    for (const std::string &Src : Corpus) {
       engine::CompileRequest Req;
       Req.Sources = {Src};
       Prime.compile(Req);
     }
-    return P.string();
+    return true;
   }();
+  (void)Primed;
   engine::EngineOptions EO;
   EO.Threads = 1;
   EO.CacheCapacity = 64;
-  EO.CacheDir = Dir;
+  EO.CacheDir = Dir.Path;
   engine::Engine Eng(EO);
   Histogram Lat;
   size_t I = 0;
@@ -274,8 +294,7 @@ void compileWarm(benchmark::State &State) {
 void registerAll() {
   // Facts a reader needs to interpret the scaling and cache numbers: how
   // many CPUs backed the thread args, and the cold sweep's cache shape.
-  suiteMetadata()["cpus"] =
-      std::to_string(std::thread::hardware_concurrency());
+  suiteMetadata()["cpus"] = std::to_string(affinityCpus());
   suiteMetadata()["thread_args"] = "1,2,4,8";
   suiteMetadata()["jobs_per_batch"] = std::to_string(JobsPerBatch);
   suiteMetadata()["cold_cache_capacity"] = "64";

@@ -34,15 +34,8 @@ const IrProgram &benchProgram(DispatchTechnique T) {
 }
 
 MachineStatus runWithPolicyRuntime(Machine &M, DispatchTechnique T) {
-  if (T == DispatchTechnique::CutRuntime) {
-    CuttingDispatcher D(M);
-    return runWithRuntime(M, std::ref(D));
-  }
-  if (T == DispatchTechnique::UnwindRuntime) {
-    UnwindingDispatcher D(M);
-    return runWithRuntime(M, std::ref(D));
-  }
-  return M.run();
+  DispatcherHolder D(M, runtimeDispatcher(T));
+  return runWithRuntime(M, std::ref(D));
 }
 
 /// Raise (or not) across a stack of the given depth.

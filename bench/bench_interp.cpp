@@ -120,16 +120,8 @@ void runInterp(benchmark::State &State, const Workload &W,
   for (auto _ : State) {
     M.resetStats();
     M.start(W.Entry, W.Args);
-    MachineStatus St;
-    if (W.Technique == DispatchTechnique::CutRuntime) {
-      CuttingDispatcher D(M);
-      St = runWithRuntime(M, std::ref(D));
-    } else if (W.Technique == DispatchTechnique::UnwindRuntime) {
-      UnwindingDispatcher D(M);
-      St = runWithRuntime(M, std::ref(D));
-    } else {
-      St = M.run();
-    }
+    DispatcherHolder D(M, runtimeDispatcher(W.Technique));
+    MachineStatus St = runWithRuntime(M, std::ref(D));
     if (St != MachineStatus::Halted) {
       State.SkipWithError("machine did not halt");
       return;

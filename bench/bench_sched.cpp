@@ -263,8 +263,7 @@ void relay(benchmark::State &State) {
 }
 
 void registerAll() {
-  suiteMetadata()["cpus"] =
-      std::to_string(std::thread::hardware_concurrency());
+  suiteMetadata()["cpus"] = std::to_string(affinityCpus());
   suiteMetadata()["backend"] = "vm";
   suiteMetadata()["relay_workers"] = "16";
   suiteMetadata()["relay_tokens"] = "400";

@@ -89,7 +89,7 @@ void BM_div_failure_dispatch(benchmark::State &State) {
   for (auto _ : State) {
     Machine M(program());
     M.start("solid_fail", {b32(42)});
-    UnwindingDispatcher D(M);
+    DispatcherHolder D(M, DispatcherKind::Unwind);
     if (runWithRuntime(M, std::ref(D)) != MachineStatus::Halted) {
       State.SkipWithError("did not halt");
       return;

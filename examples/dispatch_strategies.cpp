@@ -38,16 +38,8 @@ Row run(DispatchTechnique T, uint64_t Depth, uint64_t DoRaise) {
   }
   Machine M(*Prog);
   M.start("bench", {Value::bits(32, Depth), Value::bits(32, DoRaise)});
-  MachineStatus St;
-  if (T == DispatchTechnique::CutRuntime) {
-    CuttingDispatcher D(M);
-    St = runWithRuntime(M, std::ref(D));
-  } else if (T == DispatchTechnique::UnwindRuntime) {
-    UnwindingDispatcher D(M);
-    St = runWithRuntime(M, std::ref(D));
-  } else {
-    St = M.run();
-  }
+  DispatcherHolder D(M, runtimeDispatcher(T));
+  MachineStatus St = runWithRuntime(M, std::ref(D));
   if (St != MachineStatus::Halted) {
     std::fprintf(stderr, "%s went wrong: %s\n", dispatchTechniqueName(T),
                  M.wrongReason().c_str());

@@ -157,11 +157,7 @@ DiffOutcome runCell(const std::shared_ptr<const engine::ProgramArtifact> &Art,
     J.B = B;
     J.Args = {Value::bits(32, Input)};
     J.MaxSteps = MaxSteps;
-    J.Dispatcher = T == DispatchTechnique::CutRuntime
-                       ? engine::DispatcherKind::Cut
-                       : (T == DispatchTechnique::UnwindRuntime
-                              ? engine::DispatcherKind::Unwind
-                              : engine::DispatcherKind::None);
+    J.Dispatcher = runtimeDispatcher(T);
     engine::JobResult R = Eng->runJob(J);
     O.Status = R.Status;
     O.MachineStats = R.MachineStats;
@@ -174,16 +170,8 @@ DiffOutcome runCell(const std::shared_ptr<const engine::ProgramArtifact> &Art,
   std::unique_ptr<Executor> Exec = Art->newExecutor(B);
   Executor &M = *Exec;
   M.start("main", {Value::bits(32, Input)});
-  MachineStatus St;
-  if (T == DispatchTechnique::CutRuntime) {
-    CuttingDispatcher D(M);
-    St = runWithRuntime(M, std::ref(D), MaxSteps);
-  } else if (T == DispatchTechnique::UnwindRuntime) {
-    UnwindingDispatcher D(M);
-    St = runWithRuntime(M, std::ref(D), MaxSteps);
-  } else {
-    St = M.run(MaxSteps);
-  }
+  DispatcherHolder D(M, runtimeDispatcher(T));
+  MachineStatus St = runWithRuntime(M, std::ref(D), MaxSteps);
   O.Status = St;
   O.MachineStats = M.stats();
   if (St == MachineStatus::Halted)
@@ -207,10 +195,7 @@ runScheduledCell(const std::shared_ptr<const engine::ProgramArtifact> &Art,
   SO.Drivers = 1;
   SO.SliceFuel = 4096; // small enough that slicing actually happens
   SO.MaxStepsPerThread = MaxSteps;
-  SO.Exn = T == DispatchTechnique::CutRuntime ? sched::ExnDispatch::Cut
-           : T == DispatchTechnique::UnwindRuntime
-               ? sched::ExnDispatch::Unwind
-               : sched::ExnDispatch::None;
+  SO.Exn = runtimeDispatcher(T);
   sched::Scheduler S([Art, B] { return Art->newExecutor(B); }, SO);
   sched::SchedResult R = S.run("main", {Value::bits(32, Input)});
   DiffOutcome O;

@@ -21,9 +21,10 @@ const char *cmm::dispatchTechniqueName(DispatchTechnique T) {
   return "unknown";
 }
 
-bool cmm::dispatchUsesRuntime(DispatchTechnique T) {
-  return T == DispatchTechnique::CutRuntime ||
-         T == DispatchTechnique::UnwindRuntime;
+DispatcherKind cmm::runtimeDispatcher(DispatchTechnique T) {
+  return T == DispatchTechnique::CutRuntime      ? DispatcherKind::Cut
+         : T == DispatchTechnique::UnwindRuntime ? DispatcherKind::Unwind
+                                                 : DispatcherKind::None;
 }
 
 std::string cmm::dispatchWorkloadSource(DispatchTechnique T) {

@@ -27,6 +27,8 @@
 #ifndef CMM_COSTMODEL_DISPATCHWORKLOADS_H
 #define CMM_COSTMODEL_DISPATCHWORKLOADS_H
 
+#include "rts/Dispatchers.h"
+
 #include <string>
 
 namespace cmm {
@@ -47,8 +49,9 @@ inline constexpr DispatchTechnique AllDispatchTechniques[] = {
 
 const char *dispatchTechniqueName(DispatchTechnique T);
 
-/// True when raising under \p T involves the run-time system (a yield).
-bool dispatchUsesRuntime(DispatchTechnique T);
+/// The dispatcher that services \p T's yields: None exactly when raising
+/// under \p T does not involve the run-time system (no yield).
+DispatcherKind runtimeDispatcher(DispatchTechnique T);
 
 /// C-- source exporting `bench(bits32 depth, bits32 do_raise)`, which
 /// returns 1 on the normal path and 1099 via the handler (tag 99 + 1000).

@@ -9,6 +9,8 @@
 #include "engine/ArtifactStore.h"
 #include "ir/Translate.h"
 #include "ir/Validate.h"
+#include "vm/Threaded.h"
+#include "vm/Vm.h"
 
 #include <chrono>
 #include <cstdio>
@@ -124,9 +126,9 @@ void populateArtifact(ProgramArtifact &A, const CompileRequest &Req,
     return;
   }
   if (Req.Optimize) {
-    OptReport R = optimizeProgram(*Prog, Req.Opt);
-    if (!R.ValidationErrors.empty()) {
-      A.Error = "pass validation failed: " + R.ValidationErrors.front();
+    A.Opt = optimizeProgram(*Prog, Req.Opt);
+    if (!A.Opt.ValidationErrors.empty()) {
+      A.Error = "pass validation failed: " + A.Opt.ValidationErrors.front();
       return;
     }
     DiagnosticEngine VDiags;
@@ -194,13 +196,13 @@ std::unique_ptr<Executor> ProgramArtifact::newExecutor(Backend B) const {
     failErrored("newExecutor");
   switch (B) {
   case Backend::Vm:
-    return makeExecutor(B, *Prog, bytecode());
+    return std::make_unique<VmMachine>(*Prog, bytecode());
   case Backend::Threaded:
-    return makeExecutor(B, *Prog, nullptr, threaded());
+    return std::make_unique<ThreadedMachine>(*Prog, threaded());
   case Backend::Walk:
     break;
   }
-  return makeExecutor(B, *Prog, nullptr);
+  return makeExecutor(B, *Prog);
 }
 
 std::shared_ptr<const ProgramArtifact>
@@ -267,9 +269,16 @@ ModuleCache::getOrCompile(const CompileRequest &Req, bool *WasHit) {
   LookupsC.add(1);
 
   std::shared_ptr<Slot> S;
+  std::vector<std::shared_ptr<Slot>> Reclaimed; // freed below, outside Mu
   bool Owner = false;
   {
     std::lock_guard<std::mutex> Lock(Mu);
+    if (auto It = Evicted.find(std::this_thread::get_id());
+        It != Evicted.end()) {
+      Reclaimed = std::move(It->second);
+      EvictedSlots -= Reclaimed.size();
+      Evicted.erase(It);
+    }
     auto It = Map.find(Key);
     if (It != Map.end()) {
       HitsC.add(1);
@@ -294,6 +303,13 @@ ModuleCache::getOrCompile(const CompileRequest &Req, bool *WasHit) {
             VictimReady = VIt->second.S->Ready;
           }
           if (VictimReady) {
+            std::shared_ptr<Slot> &V = VIt->second.S;
+            if (EvictedSlots < Capacity) {
+              Evicted[V->Compiler].push_back(std::move(V));
+              ++EvictedSlots;
+            } else {
+              Reclaimed.push_back(std::move(V));
+            }
             Map.erase(VIt);
             Lru.erase(Victim);
             EvictionsC.add(1);
@@ -304,6 +320,7 @@ ModuleCache::getOrCompile(const CompileRequest &Req, bool *WasHit) {
       }
     }
   }
+  Reclaimed.clear();
   if (WasHit)
     *WasHit = !Owner;
 

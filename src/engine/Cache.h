@@ -24,6 +24,7 @@
 #include "obs/Metrics.h"
 
 #include <list>
+#include <thread>
 
 namespace cmm::engine {
 
@@ -54,6 +55,8 @@ private:
     std::condition_variable Cv;
     bool Ready = false;
     std::shared_ptr<const ProgramArtifact> Art;
+    /// The thread that compiled Art, and so allocated its memory.
+    std::thread::id Compiler = std::this_thread::get_id();
   };
 
   /// Map value: the slot plus this key's position in the LRU list.
@@ -72,6 +75,13 @@ private:
   mutable std::mutex Mu;
   std::unordered_map<CacheKey, Entry, CacheKeyHash> Map;
   std::list<CacheKey> Lru; ///< front = most recently used
+  /// Evicted slots by compiling thread, torn down by that thread on its next
+  /// lookup: glibc frees a chunk under its allocating arena's lock, so a
+  /// teardown on another thread contends with the compiler's allocations.
+  /// At most Capacity wait here; past that the evicting thread frees.
+  std::unordered_map<std::thread::id, std::vector<std::shared_ptr<Slot>>>
+      Evicted;
+  size_t EvictedSlots = 0;
   size_t Capacity;
   /// Persistent-tier directory; empty = memory-only.
   std::string CacheDir;

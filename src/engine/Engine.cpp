@@ -7,22 +7,17 @@
 #include "engine/Engine.h"
 
 #include "engine/Cache.h"
-#include "engine/Session.h"
 #include "obs/Json.h"
-#include "obs/Profiler.h"
-#include "rts/Dispatchers.h"
-#include "rts/RuntimeInterface.h"
 #include "sched/Scheduler.h"
-#include "sem/Continuation.h"
 #include "sem/Machine.h"
 #include "vm/Threaded.h"
 #include "vm/Vm.h"
 
 #include <chrono>
-#include <sstream>
 
 using namespace cmm;
 using namespace cmm::engine;
+using cmm::detail::millisSince;
 
 //===----------------------------------------------------------------------===//
 // Backends
@@ -52,34 +47,41 @@ std::optional<Backend> cmm::engine::parseBackend(std::string_view Name) {
 
 std::unique_ptr<Executor> cmm::engine::makeExecutor(Backend B,
                                                     const IrProgram &Prog) {
-  return makeExecutor(B, Prog, nullptr);
-}
-
-std::unique_ptr<Executor>
-cmm::engine::makeExecutor(Backend B, const IrProgram &Prog,
-                          std::shared_ptr<const CompiledProgram> Bytecode,
-                          std::shared_ptr<const ThreadedProgram> Threaded) {
   switch (B) {
-  case Backend::Walk:
-    return std::make_unique<Machine>(Prog);
   case Backend::Vm:
-    if (Bytecode)
-      return std::make_unique<VmMachine>(Prog, std::move(Bytecode));
     return std::make_unique<VmMachine>(Prog);
   case Backend::Threaded:
-    if (Threaded)
-      return std::make_unique<ThreadedMachine>(Prog, std::move(Threaded));
-    if (Bytecode)
-      return std::make_unique<ThreadedMachine>(Prog,
-                                               fuseProgram(std::move(Bytecode)));
     return std::make_unique<ThreadedMachine>(Prog);
+  case Backend::Walk:
+    break;
   }
-  return nullptr;
+  return std::make_unique<Machine>(Prog);
 }
 
 //===----------------------------------------------------------------------===//
 // Engine
 //===----------------------------------------------------------------------===//
+
+namespace {
+/// A Chrome metadata event: \p What ("process_name" / "thread_name") of
+/// process \p Pid, or of its thread \p Tid when given.
+std::string chromeName(std::string_view What, uint64_t Pid,
+                       std::optional<uint64_t> Tid, std::string_view Name) {
+  JsonWriter W;
+  W.beginObject();
+  W.field("name", What);
+  W.field("ph", "M");
+  W.field("pid", Pid);
+  if (Tid)
+    W.field("tid", *Tid);
+  W.key("args");
+  W.beginObject();
+  W.field("name", Name);
+  W.endObject();
+  W.endObject();
+  return W.take();
+}
+} // namespace
 
 Engine::Engine(EngineOptions OptsIn)
     : Opts(OptsIn), JM(Registry),
@@ -99,36 +101,11 @@ Engine::Engine(EngineOptions OptsIn)
     TO.Pid = 0;
     EngTrace = std::make_unique<TraceSink>(*Opts.TraceTo, TO);
     // Name the tracks up front (Chrome metadata events).
-    auto Meta = [&](uint64_t Tid, std::string_view Name) {
-      JsonWriter W;
-      W.beginObject();
-      W.field("name", "thread_name");
-      W.field("ph", "M");
-      W.field("pid", uint64_t(0));
-      W.field("tid", Tid);
-      W.key("args");
-      W.beginObject();
-      W.field("name", Name);
-      W.endObject();
-      W.endObject();
-      EngTrace->emitRaw(W.take());
-    };
-    {
-      JsonWriter W;
-      W.beginObject();
-      W.field("name", "process_name");
-      W.field("ph", "M");
-      W.field("pid", uint64_t(0));
-      W.key("args");
-      W.beginObject();
-      W.field("name", "cmmex engine");
-      W.endObject();
-      W.endObject();
-      EngTrace->emitRaw(W.take());
-    }
-    Meta(0, "caller");
+    EngTrace->emitRaw(chromeName("process_name", 0, {}, "cmmex engine"));
+    EngTrace->emitRaw(chromeName("thread_name", 0, 0, "caller"));
     for (unsigned I = 0; I < Pool.threadCount(); ++I)
-      Meta(I + 1, "worker-" + std::to_string(I));
+      EngTrace->emitRaw(chromeName("thread_name", 0, I + 1,
+                                   "worker-" + std::to_string(I)));
   }
   if (Opts.SnapshotTo)
     Exporter = std::make_unique<MetricsExporter>(Registry, *Opts.SnapshotTo,
@@ -151,13 +128,6 @@ bool Engine::sampledForTrace(uint64_t Id) const {
          Id % Opts.TraceMachineSample == 0;
 }
 
-void Engine::emitEngineEvent(std::string Line) {
-  if (!EngTrace)
-    return;
-  std::lock_guard<std::mutex> Lock(TraceMu);
-  EngTrace->emitRaw(std::move(Line));
-}
-
 void Engine::emitEngineSpan(std::string_view Name, uint64_t JobId,
                             unsigned Tid, uint64_t TsMicros,
                             uint64_t DurMicros) {
@@ -177,13 +147,16 @@ void Engine::emitEngineSpan(std::string_view Name, uint64_t JobId,
   W.field("job", JobId);
   W.endObject();
   W.endObject();
-  emitEngineEvent(W.take());
+  std::lock_guard<std::mutex> Lock(TraceMu);
+  EngTrace->emitRaw(W.take());
 }
 
 std::shared_ptr<const ProgramArtifact>
-Engine::compile(const CompileRequest &Req) {
+Engine::compile(const CompileRequest &Req, bool *WasHit) {
   if (Cache)
-    return Cache->getOrCompile(Req);
+    return Cache->getOrCompile(Req, WasHit);
+  if (WasHit)
+    *WasHit = false;
   return compileArtifact(Req);
 }
 
@@ -191,62 +164,43 @@ CacheStats Engine::cacheStats() const {
   return Cache ? Cache->stats() : CacheStats{};
 }
 
-using cmm::detail::millisSince;
-
-const IrProgram *
-Engine::resolveProgram(const Job &J, uint64_t Id, unsigned Tid,
-                       uint64_t JobT0, JobResult &R,
-                       std::shared_ptr<const ProgramArtifact> &Art) {
-  if (J.Program)
-    return J.Program.get();
-  auto C0 = std::chrono::steady_clock::now();
-  Art = J.Artifact;
-  if (Art) {
-    R.CacheHit = true; // the caller interned it; no compile ran here
-  } else {
-    if (Cache)
-      Art = Cache->getOrCompile(J.Request, &R.CacheHit);
-    else
-      Art = compileArtifact(J.Request);
-    R.CompileMillis = millisSince(C0);
-    // Per-job artifact-resolution latency: near-zero on a hit, a real
-    // compile on a miss, the owner's compile time on a single-flight
-    // join. cache.compile_micros holds actual compiles only.
-    uint64_t CompileUs = uint64_t(R.CompileMillis * 1000.0);
-    JM.CompileMicros.record(CompileUs);
-    emitEngineSpan("compile", Id, Tid, JobT0, CompileUs);
+void Engine::JobMetrics::countOutcome(MachineStatus St,
+                                      const ResumeOutcome &Out) {
+  switch (St) {
+  case MachineStatus::Halted:
+    Halted.add(1);
+    break;
+  case MachineStatus::Wrong:
+    Wrong.add(1);
+    break;
+  case MachineStatus::Running:
+    // Deadlocked schedules land in fuel_exhausted too (sched.deadlocks
+    // disambiguates).
+    (Out.TimedOut      ? Timeouts
+     : Out.MemExceeded ? MemExceeded
+                       : FuelExhausted)
+        .add(1);
+    break;
+  default:
+    Suspended.add(1);
+    break;
   }
-  if (!Art->ok()) {
-    R.CompileError = Art->error();
-    JM.CompileErrors.add(1);
-    return nullptr;
-  }
-  return Art->program();
 }
 
-JobResult Engine::runScheduled(const Job &J,
-                               const std::shared_ptr<const ProgramArtifact> &Art,
-                               JobResult R) {
+void Engine::runScheduled(const Job &J,
+                          const std::shared_ptr<const ProgramArtifact> &Art,
+                          JobResult &R) {
   sched::SchedOptions SO;
   SO.SliceFuel = J.Sched.SliceFuel;
   SO.Drivers = J.Sched.Drivers;
   SO.MaxThreads = J.Sched.MaxThreads;
   SO.MaxStepsPerThread = J.MaxSteps;
-  SO.Exn = J.Dispatcher == DispatcherKind::Unwind ? sched::ExnDispatch::Unwind
-           : J.Dispatcher == DispatcherKind::Cut  ? sched::ExnDispatch::Cut
-                                                  : sched::ExnDispatch::None;
-  // The factory co-owns the program so a schedule's executors stay valid
+  SO.Exn = J.Dispatcher;
+  // The factory co-owns the artifact so a schedule's executors stay valid
   // even if the caller drops its reference mid-run.
   Backend B = J.B;
-  sched::Scheduler::ExecutorFactory F;
-  if (Art)
-    F = [Art, B] { return Art->newExecutor(B); };
-  else {
-    std::shared_ptr<const IrProgram> Prog = J.Program;
-    F = [Prog, B] { return makeExecutor(B, *Prog); };
-  }
   sched::Scheduler S(
-      std::move(F), SO,
+      [Art, B] { return Art->newExecutor(B); }, SO,
       [this](std::function<void()> T) { Pool.submit(std::move(T)); },
       &Registry);
 
@@ -261,214 +215,22 @@ JobResult Engine::runScheduled(const Job &J,
   R.MachineStats = SR.MachineStats;
   R.SchedThreads = SR.ThreadsSpawned;
   R.SchedSwitches = SR.ContextSwitches;
-  switch (R.Status) {
-  case MachineStatus::Halted:
-    JM.Halted.add(1);
-    break;
-  case MachineStatus::Wrong:
-    JM.Wrong.add(1);
-    break;
-  case MachineStatus::Suspended:
-    JM.Suspended.add(1);
-    break;
-  case MachineStatus::Running:
-    // Deadlocks land here too (sched.deadlocks disambiguates).
-    JM.FuelExhausted.add(1);
-    break;
-  default:
-    break;
-  }
-  return R;
+  JM.countOutcome(R.Status, ResumeOutcome{});
 }
 
-JobResult Engine::runJob(const Job &J, uint64_t Id) {
-  // Synchronous callers pass Id 0; give the job a real id anyway when the
-  // merged trace is on, so its spans are distinguishable (and samplable).
-  if (Id == 0 && EngTrace)
-    Id = NextId.fetch_add(1, std::memory_order_relaxed);
-  JobResult R;
-  R.Id = Id;
-  unsigned Tid = unsigned(ThreadPool::currentWorker() + 1); // 0 = off-pool
-  JM.Jobs.add(1);
-  (J.B == Backend::Walk   ? JM.BackendWalk
-   : J.B == Backend::Vm   ? JM.BackendVm
-                          : JM.BackendThreaded)
-      .add(1);
-  JM.Running.add(1);
-  uint64_t JobT0 = nowMicros();
-
-  // Resolve the program: caller-compiled IR, pre-interned artifact, or a
-  // request compiled through the cache.
-  std::shared_ptr<const ProgramArtifact> Art;
-  const IrProgram *Prog = resolveProgram(J, Id, Tid, JobT0, R, Art);
-  if (!Prog) {
-    JM.Running.sub(1);
-    JM.JobMicros.record(nowMicros() - JobT0);
-    return R;
+void Engine::spliceMachineEvents(uint64_t JobId, const std::string &Lines) {
+  std::lock_guard<std::mutex> Lock(TraceMu);
+  EngTrace->emitRaw(chromeName("process_name", JobId, {},
+                               "job " + std::to_string(JobId) + " machine"));
+  size_t Pos = 0;
+  while (Pos < Lines.size()) {
+    size_t Nl = Lines.find('\n', Pos);
+    if (Nl == std::string::npos)
+      Nl = Lines.size();
+    if (Nl > Pos)
+      EngTrace->emitRaw(Lines.substr(Pos, Nl - Pos));
+    Pos = Nl + 1;
   }
-
-  if (J.Sched.Enabled) {
-    JobResult SR = runScheduled(J, Art, R);
-    JM.RunMicros.record(uint64_t(SR.RunMillis * 1000.0));
-    JM.JobMicros.record(nowMicros() - JobT0);
-    JM.Running.sub(1);
-    if (EngTrace)
-      emitEngineSpan("run", Id, Tid, JobT0, uint64_t(SR.RunMillis * 1000.0));
-    return SR;
-  }
-
-  std::unique_ptr<Executor> Exec =
-      Art ? Art->newExecutor(J.B) : makeExecutor(J.B, *Prog);
-  Executor &M = *Exec;
-
-  // Per-job observability: every event stream is tagged with the job id.
-  std::unique_ptr<TraceSink> Trace;
-  if (J.TraceTo) {
-    TraceOptions TO = J.Trace;
-    TO.JobId = Id;
-    Trace = std::make_unique<TraceSink>(*J.TraceTo, TO);
-  }
-  // Sampled jobs additionally buffer their machine events (bare Chrome
-  // lines, wall-clock timestamps, their own pid) for splicing into the
-  // merged engine trace when the job completes.
-  std::ostringstream SampleBuf;
-  std::unique_ptr<TraceSink> Sample;
-  if (sampledForTrace(Id)) {
-    TraceOptions TO;
-    TO.Fmt = TraceOptions::Format::Chrome;
-    TO.WallClock = true;
-    TO.Epoch = Epoch;
-    TO.Pid = Id;
-    TO.JobId = Id;
-    TO.BareLines = true;
-    Sample = std::make_unique<TraceSink>(SampleBuf, TO);
-  }
-  Profiler Prof;
-  Prof.JobId = Id;
-  MultiObserver Multi;
-  if (Trace)
-    Multi.add(Trace.get());
-  if (Sample)
-    Multi.add(Sample.get());
-  if (J.CollectProfile)
-    Multi.add(&Prof);
-  Multi.add(J.Obs);
-  if (Multi.size() == 1)
-    M.setObserver(Multi.front());
-  else if (!Multi.empty())
-    M.setObserver(&Multi);
-
-  auto R0 = std::chrono::steady_clock::now();
-  uint64_t RunT0 = nowMicros();
-  M.start(J.Entry, J.Args);
-
-  ResumeBudget Budget{J.MaxSteps, J.DeadlineMillis, J.MaxMemoryBytes};
-  ResumeOutcome Out;
-  MachineStatus St;
-  switch (J.Dispatcher) {
-  case DispatcherKind::Unwind: {
-    UnwindingDispatcher D(M);
-    St = detail::runBudgeted(
-        M, [&](Executor &) { return D.dispatch() == DispatchResult::Handled; },
-        Budget, DeadlineSliceSteps, Out, R.ResumeCycles);
-    R.RtWalk = D.walkStats();
-    R.RtDispatches = D.dispatches();
-    break;
-  }
-  case DispatcherKind::Cut: {
-    CuttingDispatcher D(M);
-    St = detail::runBudgeted(
-        M, [&](Executor &) { return D.dispatch() == DispatchResult::Handled; },
-        Budget, DeadlineSliceSteps, Out, R.ResumeCycles);
-    R.RtDispatches = D.dispatches();
-    break;
-  }
-  case DispatcherKind::None:
-  default:
-    St = detail::runBudgeted(M, [](Executor &) { return false; }, Budget,
-                             DeadlineSliceSteps, Out, R.ResumeCycles);
-    break;
-  }
-  R.TimedOut = Out.TimedOut;
-  R.MemExceeded = Out.MemExceeded;
-  R.RunMillis = millisSince(R0);
-
-  R.Status = St;
-  R.MachineStats = M.stats();
-  if (St == MachineStatus::Halted || St == MachineStatus::Suspended)
-    R.Results = M.argArea();
-  if (St == MachineStatus::Wrong) {
-    R.WrongReason = M.wrongReason();
-    R.WrongLoc = M.wrongLoc();
-  }
-  if (Trace)
-    Trace->finish();
-  if (J.CollectProfile) {
-    JsonWriter W;
-    Prof.writeJson(W);
-    R.ProfileJson = W.take();
-  }
-
-  // Lifecycle accounting.
-  switch (St) {
-  case MachineStatus::Halted:
-    JM.Halted.add(1);
-    break;
-  case MachineStatus::Wrong:
-    JM.Wrong.add(1);
-    break;
-  case MachineStatus::Suspended:
-    JM.Suspended.add(1);
-    break;
-  case MachineStatus::Running:
-    (R.TimedOut      ? JM.Timeouts
-     : R.MemExceeded ? JM.MemExceeded
-                     : JM.FuelExhausted)
-        .add(1);
-    break;
-  default:
-    break;
-  }
-  JM.ResumeCycles.add(R.ResumeCycles);
-  JM.ResumeCyclesPerJob.record(R.ResumeCycles);
-  uint64_t RunUs = uint64_t(R.RunMillis * 1000.0);
-  JM.RunMicros.record(RunUs);
-  JM.JobMicros.record(nowMicros() - JobT0);
-  JM.Running.sub(1);
-
-  // Merged trace: the run span, then the buffered machine events (under
-  // one lock so a job's events stay contiguous in the file).
-  if (EngTrace) {
-    emitEngineSpan("run", Id, Tid, RunT0, RunUs);
-    if (Sample) {
-      Sample->finish();
-      std::lock_guard<std::mutex> Lock(TraceMu);
-      {
-        JsonWriter W;
-        W.beginObject();
-        W.field("name", "process_name");
-        W.field("ph", "M");
-        W.field("pid", Id);
-        W.key("args");
-        W.beginObject();
-        W.field("name", "job " + std::to_string(Id) + " machine");
-        W.endObject();
-        W.endObject();
-        EngTrace->emitRaw(W.take());
-      }
-      std::string Buf = SampleBuf.str();
-      size_t Pos = 0;
-      while (Pos < Buf.size()) {
-        size_t Nl = Buf.find('\n', Pos);
-        if (Nl == std::string::npos)
-          Nl = Buf.size();
-        if (Nl > Pos)
-          EngTrace->emitRaw(Buf.substr(Pos, Nl - Pos));
-        Pos = Nl + 1;
-      }
-    }
-  }
-  return R;
 }
 
 uint64_t Engine::submit(Job J) {

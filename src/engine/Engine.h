@@ -24,7 +24,9 @@
 ///    work-stealing pool; wait(id) returns its JobResult. Jobs are
 ///    isolated: each gets a fresh executor, and a job that fails to
 ///    compile, goes wrong, or exhausts its fuel reports that in its result
-///    without disturbing the rest of the batch.
+///    without disturbing the rest of the batch. Every job — submitted,
+///    synchronous, or a parked session — runs through one path
+///    (engine/Session.h).
 ///
 /// Thread-safety: Engine, its cache, and ProgramArtifact are thread-safe.
 /// Executors are not — one executor is one C-- thread and must be driven by
@@ -40,7 +42,9 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "opt/PassManager.h"
+#include "rts/Dispatchers.h"
 #include "rts/RuntimeInterface.h"
+#include "sem/Continuation.h"
 #include "sem/Executor.h"
 #include "vm/Bytecode.h"
 #include "vm/Fuse.h"
@@ -71,18 +75,9 @@ inline constexpr Backend AllBackends[] = {Backend::Walk, Backend::Vm,
 std::string_view backendName(Backend B);
 std::optional<Backend> parseBackend(std::string_view Name);
 
-/// Constructs an executor for \p Prog. The single construction point every
-/// tool and test shares.
+/// Constructs an executor for \p Prog (over an artifact, use
+/// ProgramArtifact::newExecutor, which reuses its compiled streams).
 std::unique_ptr<Executor> makeExecutor(Backend B, const IrProgram &Prog);
-
-/// As above, but the VM and threaded backends reuse \p Bytecode instead of
-/// recompiling, and the threaded backend reuses a pre-fused \p Threaded
-/// stream instead of re-running the fusion pass (null falls back to
-/// compiling/fusing; the walker ignores both).
-std::unique_ptr<Executor>
-makeExecutor(Backend B, const IrProgram &Prog,
-             std::shared_ptr<const CompiledProgram> Bytecode,
-             std::shared_ptr<const ThreadedProgram> Threaded = nullptr);
 
 //===----------------------------------------------------------------------===//
 // Compilation artifacts and the content-hash cache
@@ -158,6 +153,11 @@ public:
   /// the threaded backend shares threaded(). Precondition: ok().
   std::unique_ptr<Executor> newExecutor(Backend B) const;
 
+  /// The optimizer's per-pass report from this artifact's compile (empty
+  /// when the request did not optimize, or when the artifact was loaded
+  /// from disk rather than compiled in this process).
+  const OptReport &optReport() const { return Opt; }
+
 private:
   friend void
   populateArtifact(ProgramArtifact &A, const CompileRequest &Req,
@@ -173,6 +173,7 @@ private:
   CacheKey Key;
   std::shared_ptr<const IrProgram> Prog;
   std::string Error;
+  OptReport Opt;
   mutable std::mutex BcMu;
   mutable std::shared_ptr<const CompiledProgram> Bc;
   mutable std::mutex TMu;
@@ -214,18 +215,16 @@ struct CacheStats {
 // Jobs
 //===----------------------------------------------------------------------===//
 
-/// Which front-end run-time system services yields during a job.
-enum class DispatcherKind : uint8_t { None, Unwind, Cut };
+/// Which front-end run-time system services yields during a job
+/// (rts/Dispatchers.h).
+using cmm::DispatcherKind;
 
 /// One unit of batch work: run Entry(Args) of a program on a backend.
 struct Job {
-  /// The program, in decreasing precedence: an already-checked IR program
-  /// the caller compiled itself (bypasses the cache entirely; used by cmmi,
-  /// which compiles by hand to keep the OptReport)...
-  std::shared_ptr<const IrProgram> Program;
-  /// ...or pre-interned as an artifact...
+  /// The program: pre-interned as an artifact...
   std::shared_ptr<const ProgramArtifact> Artifact;
-  /// ...or described by a request the engine compiles through its cache.
+  /// ...or, when Artifact is null, described by a request the engine
+  /// compiles through its cache.
   CompileRequest Request;
 
   Backend B = Backend::Walk;
@@ -237,7 +236,8 @@ struct Job {
   /// runWithRuntime budget). Exhaustion leaves Status == Running.
   uint64_t MaxSteps = ~uint64_t(0);
   /// Wall-clock deadline in milliseconds; 0 disables. Checked between
-  /// execution slices, so enforcement granularity is DeadlineSliceSteps.
+  /// execution slices, so enforcement granularity is
+  /// Continuation::SliceSteps.
   double DeadlineMillis = 0;
   /// Memory quota in bytes (page-granular; 0 disables). Checked between
   /// execution slices like the deadline; exceeding it stops the job with
@@ -369,8 +369,11 @@ public:
   /// Compiles \p Req through the content-hash cache (single-flight: when N
   /// threads race on one key, exactly one compiles). With the cache
   /// disabled, compiles directly. Never returns null — failures are inside
-  /// the artifact.
-  std::shared_ptr<const ProgramArtifact> compile(const CompileRequest &Req);
+  /// the artifact. \p WasHit, when non-null, reports whether this call
+  /// found the artifact already compiled or in flight (always false
+  /// without a cache).
+  std::shared_ptr<const ProgramArtifact> compile(const CompileRequest &Req,
+                                                 bool *WasHit = nullptr);
 
   /// Enqueues \p J; returns the job id to wait on.
   uint64_t submit(Job J);
@@ -383,18 +386,20 @@ public:
   std::vector<JobResult> run(std::vector<Job> Jobs);
 
   /// Runs one job synchronously on the calling thread (no pool hop). Used
-  /// by the workers and by single-run embedders (cmmi, the harness).
+  /// by the workers and by single-run embedders (cmmi, the harness). Runs
+  /// exactly a session's first segment, then finishes the job where it
+  /// stopped.
   JobResult runJob(const Job &J, uint64_t Id = 0);
 
   /// Runs \p J synchronously like runJob, but when it stops Suspended with
-  /// an unserviced yield, parks the live executor in a JobSession instead
-  /// of discarding it: the caller becomes the dispatcher and continues the
-  /// job later through JobSession::resumeRaw / dispatchOnce — possibly from
-  /// a different thread, possibly across a protocol boundary (src/svc runs
-  /// yields over the wire this way). \p R receives the first segment's
-  /// result either way; the session is null when the job already reached a
-  /// terminal status (or failed to compile). Sessions must not outlive the
-  /// engine. docs/SERVICE.md § "Sessions" describes the lifecycle.
+  /// an unserviced yield (or out of budget), parks the live executor in a
+  /// JobSession instead of discarding it: the caller becomes the dispatcher
+  /// and continues the job later through JobSession::resumeRaw /
+  /// dispatchOnce — possibly from a different thread, possibly across a
+  /// protocol boundary (src/svc runs yields over the wire this way). \p R
+  /// receives the first segment's result either way; the session is null
+  /// when the job already finished (a terminal status, a compile error, or
+  /// a scheduled job). Sessions must not outlive the engine. docs/SERVICE.md § "Sessions" describes the lifecycle.
   std::unique_ptr<JobSession> startSession(const Job &J, JobResult &R);
 
   CacheStats cacheStats() const;
@@ -408,9 +413,6 @@ public:
   /// One JSON snapshot of metrics(): {"counters":{..},"gauges":{..},
   /// "histograms":{..}}.
   std::string metricsJson() const { return Registry.json(); }
-
-  /// Deadline-check granularity, exposed for the fuel/deadline tests.
-  static constexpr uint64_t DeadlineSliceSteps = 1 << 16;
 
 private:
   /// Wired handles for the per-job metrics (the registry mutex is touched
@@ -451,38 +453,42 @@ private:
           RunMicros(R.histogram("engine.run_micros")),
           JobMicros(R.histogram("engine.job_micros")),
           ResumeCyclesPerJob(R.histogram("engine.resume_cycles_per_job")) {}
+
+    /// Counts one finished job into exactly one engine.jobs_* outcome
+    /// counter (compile errors are counted where they are found).
+    void countOutcome(MachineStatus St, const ResumeOutcome &Out);
   };
 
-  /// Sessions count their segments into JM and allocate ids from NextId.
+  /// Sessions count their segments into JM and reach the merged trace.
   friend class JobSession;
 
-  /// Resolves a job's program — caller-compiled IR, pre-interned artifact,
-  /// or a request compiled through the cache — filling the result's
-  /// CacheHit / CompileMillis / CompileError fields and the compile
-  /// metrics. Returns null exactly when the compile failed (the error is
-  /// in \p R and the failure metrics are already counted).
-  const IrProgram *resolveProgram(const Job &J, uint64_t Id, unsigned Tid,
-                                  uint64_t JobT0, JobResult &R,
-                                  std::shared_ptr<const ProgramArtifact> &Art);
+  /// The one job path shared by runJob and startSession: counts the job,
+  /// resolves its artifact (filling \p R's compile fields), and runs its
+  /// first segment in a new session, filling the rest of \p R. Returns
+  /// null when the job already finished here: a compile error or a
+  /// scheduled job.
+  std::unique_ptr<JobSession> openJob(const Job &J, uint64_t Id,
+                                      JobResult &R);
 
   /// Runs a Job::Sched job as an M:N schedule over the pool: builds an
-  /// executor factory from the resolved program, maps the job's fuel and
+  /// executor factory from the artifact, maps the job's fuel and
   /// dispatcher onto SchedOptions, and folds the SchedResult (plus its
-  /// outcome accounting) into \p R. \p R already carries the compile
-  /// fields.
-  JobResult runScheduled(const Job &J,
-                         const std::shared_ptr<const ProgramArtifact> &Art,
-                         JobResult R);
+  /// outcome) into \p R, which already carries the compile fields.
+  void runScheduled(const Job &J,
+                    const std::shared_ptr<const ProgramArtifact> &Art,
+                    JobResult &R);
 
   /// True when job \p Id 's machine events are recorded into the merged
   /// trace (EngineOptions::TraceMachineSample).
   bool sampledForTrace(uint64_t Id) const;
-  /// Splices one pre-rendered Chrome event into the merged trace (no-op
+  /// Emits a Chrome complete-span ("ph":"X") into the merged trace (no-op
   /// without one). Takes TraceMu.
-  void emitEngineEvent(std::string Line);
-  /// Emits a Chrome complete-span ("ph":"X") into the merged trace.
   void emitEngineSpan(std::string_view Name, uint64_t JobId, unsigned Tid,
                       uint64_t TsMicros, uint64_t DurMicros);
+  /// Splices a sampled job's buffered machine events (newline-separated
+  /// Chrome lines) into the merged trace under the job's own pid, in one
+  /// contiguous run.
+  void spliceMachineEvents(uint64_t JobId, const std::string &Lines);
   /// Microseconds since the engine's construction (the merged-trace
   /// timeline).
   uint64_t nowMicros() const;

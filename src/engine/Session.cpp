@@ -6,7 +6,13 @@
 
 #include "engine/Session.h"
 
+#include "obs/Json.h"
+#include "obs/Profiler.h"
 #include "sem/Continuation.h"
+
+#include <functional>
+#include <optional>
+#include <sstream>
 
 using namespace cmm;
 using namespace cmm::engine;
@@ -14,37 +20,82 @@ using cmm::detail::millisSince;
 using cmm::detail::runBudgeted;
 
 //===----------------------------------------------------------------------===//
-// Engine::startSession
+// The job path: Engine::openJob / runJob / startSession
 //===----------------------------------------------------------------------===//
 
-std::unique_ptr<JobSession> Engine::startSession(const Job &J, JobResult &R) {
-  uint64_t Id = NextId.fetch_add(1, std::memory_order_relaxed);
+std::unique_ptr<JobSession> Engine::openJob(const Job &J, uint64_t Id,
+                                            JobResult &R) {
   R = JobResult{};
   R.Id = Id;
-  unsigned Tid = unsigned(ThreadPool::currentWorker() + 1);
+  unsigned Tid = unsigned(ThreadPool::currentWorker() + 1); // 0 = off-pool
   JM.Jobs.add(1);
   (J.B == Backend::Walk   ? JM.BackendWalk
    : J.B == Backend::Vm   ? JM.BackendVm
                           : JM.BackendThreaded)
       .add(1);
+  JM.Running.add(1);
   uint64_t JobT0 = nowMicros();
 
-  std::shared_ptr<const ProgramArtifact> Art;
-  const IrProgram *Prog = resolveProgram(J, Id, Tid, JobT0, R, Art);
-  if (!Prog) {
+  // Resolve the program: a pre-interned artifact, or a request compiled
+  // through the cache.
+  std::shared_ptr<const ProgramArtifact> Art = J.Artifact;
+  if (Art) {
+    R.CacheHit = true; // the caller interned it; no compile ran here
+  } else {
+    auto C0 = std::chrono::steady_clock::now();
+    Art = compile(J.Request, &R.CacheHit);
+    R.CompileMillis = millisSince(C0);
+    // Per-job artifact-resolution latency: near-zero on a hit, a real
+    // compile on a miss, the owner's compile time on a single-flight
+    // join. cache.compile_micros holds actual compiles only.
+    uint64_t CompileUs = uint64_t(R.CompileMillis * 1000.0);
+    JM.CompileMicros.record(CompileUs);
+    emitEngineSpan("compile", Id, Tid, JobT0, CompileUs);
+  }
+  if (!Art->ok()) {
+    R.CompileError = Art->error();
+    JM.CompileErrors.add(1);
+    JM.Running.sub(1);
     JM.JobMicros.record(nowMicros() - JobT0);
     return nullptr;
   }
 
-  std::unique_ptr<Executor> Exec =
-      Art ? Art->newExecutor(J.B) : makeExecutor(J.B, *Prog);
-  std::unique_ptr<JobSession> S(new JobSession(
-      *this, Id, J.B, std::move(Art), J.Program, std::move(Exec), JobT0));
+  if (J.Sched.Enabled) {
+    runScheduled(J, Art, R);
+    uint64_t RunUs = uint64_t(R.RunMillis * 1000.0);
+    JM.RunMicros.record(RunUs);
+    JM.JobMicros.record(nowMicros() - JobT0);
+    JM.Running.sub(1);
+    emitEngineSpan("run", Id, Tid, JobT0, RunUs);
+    return nullptr;
+  }
+
+  std::unique_ptr<JobSession> S(
+      new JobSession(*this, J, Id, std::move(Art), JobT0));
+  JM.Running.sub(1); // the segment counts itself
+  S->startSegment(J, R);
+  return S;
+}
+
+JobResult Engine::runJob(const Job &J, uint64_t Id) {
+  // Synchronous callers pass Id 0; give the job a real id anyway when the
+  // merged trace is on, so its spans are distinguishable (and samplable).
+  if (Id == 0 && EngTrace)
+    Id = NextId.fetch_add(1, std::memory_order_relaxed);
+  JobResult R;
+  if (std::unique_ptr<JobSession> S = openJob(J, Id, R))
+    S->finish(R); // the job ends where its first segment stopped
+  return R;
+}
+
+std::unique_ptr<JobSession> Engine::startSession(const Job &J, JobResult &R) {
+  std::unique_ptr<JobSession> S =
+      openJob(J, NextId.fetch_add(1, std::memory_order_relaxed), R);
+  if (!S || S->done())
+    return nullptr; // terminal first segment: already finished
+  S->Handed = true;
   JM.Sessions.add(1);
   JM.SessionsOpen.add(1);
-  R = S->startSegment(J);
-  if (S->done())
-    S.reset(); // outcome already counted by finishSegment
   return S;
 }
 
@@ -52,53 +103,97 @@ std::unique_ptr<JobSession> Engine::startSession(const Job &J, JobResult &R) {
 // JobSession
 //===----------------------------------------------------------------------===//
 
-JobSession::JobSession(Engine &Eng, uint64_t Id, Backend B,
-                       std::shared_ptr<const ProgramArtifact> Art,
-                       std::shared_ptr<const IrProgram> Prog,
-                       std::unique_ptr<Executor> Exec, uint64_t StartMicros)
-    : Eng(Eng), Id(Id), B(B), Art(std::move(Art)), Prog(std::move(Prog)),
-      Exec(std::move(Exec)), StartMicros(StartMicros) {}
+/// The per-job event streams: a trace sink on Job::TraceTo, the merged
+/// trace's sample buffer, and the profiler, fanned in with the caller's
+/// observer.
+struct JobSession::Observers {
+  std::unique_ptr<TraceSink> Trace;
+  /// Sampled jobs buffer their machine events (bare Chrome lines,
+  /// wall-clock timestamps, their own pid) for splicing into the merged
+  /// engine trace when the job finishes.
+  std::ostringstream SampleBuf;
+  std::unique_ptr<TraceSink> Sample;
+  std::optional<Profiler> Prof;
+  MultiObserver Multi;
+};
+
+JobSession::JobSession(Engine &Eng, const Job &J, uint64_t Id,
+                       std::shared_ptr<const ProgramArtifact> ArtIn,
+                       uint64_t StartMicros)
+    : Eng(Eng), Id(Id), Art(std::move(ArtIn)), Exec(Art->newExecutor(J.B)),
+      Disp(*Exec, J.Dispatcher),
+      StartMicros(StartMicros) {
+  bool Sampled = Eng.sampledForTrace(Id);
+  if (!J.TraceTo && !Sampled && !J.CollectProfile) {
+    if (J.Obs)
+      Exec->setObserver(J.Obs);
+    return;
+  }
+  // Every event stream is tagged with the job id.
+  Obs = std::make_unique<Observers>();
+  if (J.TraceTo) {
+    TraceOptions TO = J.Trace;
+    TO.JobId = Id;
+    Obs->Trace = std::make_unique<TraceSink>(*J.TraceTo, TO);
+    Obs->Multi.add(Obs->Trace.get());
+  }
+  if (Sampled) {
+    TraceOptions TO;
+    TO.Fmt = TraceOptions::Format::Chrome;
+    TO.WallClock = true;
+    TO.Epoch = Eng.Epoch;
+    TO.Pid = Id;
+    TO.JobId = Id;
+    TO.BareLines = true;
+    Obs->Sample = std::make_unique<TraceSink>(Obs->SampleBuf, TO);
+    Obs->Multi.add(Obs->Sample.get());
+  }
+  if (J.CollectProfile) {
+    Obs->Prof.emplace();
+    Obs->Prof->JobId = Id;
+    Obs->Multi.add(&*Obs->Prof);
+  }
+  Obs->Multi.add(J.Obs);
+  Exec->setObserver(Obs->Multi.size() == 1 ? Obs->Multi.front()
+                                           : &Obs->Multi);
+}
 
 JobSession::~JobSession() {
   // Abandoned mid-flight (client went away, TTL eviction, shutdown): the
   // job still finishes in exactly one outcome bucket.
-  countOutcome(LastStatus == MachineStatus::Idle ? MachineStatus::Suspended
-                                                 : LastStatus,
-               LastOutcome);
-  Eng.JM.SessionsOpen.sub(1);
+  JobResult Discard;
+  finish(Discard);
+  if (Handed)
+    Eng.JM.SessionsOpen.sub(1);
 }
 
-void JobSession::countOutcome(MachineStatus St, const ResumeOutcome &Out) {
-  if (Counted)
+void JobSession::finish(JobResult &R) {
+  if (Finished)
     return;
-  Counted = true;
-  switch (St) {
-  case MachineStatus::Halted:
-    Eng.JM.Halted.add(1);
-    break;
-  case MachineStatus::Wrong:
-    Eng.JM.Wrong.add(1);
-    break;
-  case MachineStatus::Running:
-    (Out.TimedOut      ? Eng.JM.Timeouts
-     : Out.MemExceeded ? Eng.JM.MemExceeded
-                       : Eng.JM.FuelExhausted)
-        .add(1);
-    break;
-  default:
-    Eng.JM.Suspended.add(1);
-    break;
-  }
+  Finished = true;
+  Eng.JM.countOutcome(LastStatus, LastOutcome);
   Eng.JM.ResumeCycles.add(Cycles);
   Eng.JM.ResumeCyclesPerJob.record(Cycles);
   Eng.JM.JobMicros.record(Eng.nowMicros() - StartMicros);
+  if (!Obs)
+    return;
+  if (Obs->Trace)
+    Obs->Trace->finish();
+  if (Obs->Prof) {
+    JsonWriter W;
+    Obs->Prof->writeJson(W);
+    R.ProfileJson = W.take();
+  }
+  if (Obs->Sample) {
+    Obs->Sample->finish();
+    Eng.spliceMachineEvents(Id, Obs->SampleBuf.str());
+  }
 }
 
-JobResult JobSession::finishSegment(MachineStatus St, const ResumeOutcome &Out,
-                                    double RunMillis) {
+void JobSession::finishSegment(JobResult &R, MachineStatus St,
+                               const ResumeOutcome &Out, double RunMillis) {
   LastStatus = St;
   LastOutcome = Out;
-  JobResult R;
   R.Id = Id;
   R.Status = St;
   R.TimedOut = Out.TimedOut;
@@ -112,62 +207,43 @@ JobResult JobSession::finishSegment(MachineStatus St, const ResumeOutcome &Out,
     R.WrongReason = Exec->wrongReason();
     R.WrongLoc = Exec->wrongLoc();
   }
-  if (Unw) {
-    R.RtWalk = Unw->walkStats();
-    R.RtDispatches += Unw->dispatches();
-  }
-  if (Cut)
-    R.RtDispatches += Cut->dispatches();
-  if (St == MachineStatus::Halted || St == MachineStatus::Wrong) {
+  R.RtWalk = Disp.walkStats();
+  R.RtDispatches = Disp.dispatches();
+  if (St == MachineStatus::Halted || St == MachineStatus::Wrong)
     Done = true;
-    countOutcome(St, Out);
-  }
-  uint64_t RunUs = uint64_t(RunMillis * 1000.0);
+}
+
+template <typename RunFn> void JobSession::runTimed(JobResult &R, RunFn Run) {
+  unsigned Tid = unsigned(ThreadPool::currentWorker() + 1);
+  auto R0 = std::chrono::steady_clock::now();
+  uint64_t RunT0 = Eng.nowMicros();
+  Eng.JM.Running.add(1);
+  ResumeOutcome Out;
+  MachineStatus St = Run(Out);
+  Eng.JM.Running.sub(1);
+  finishSegment(R, St, Out, millisSince(R0));
+  uint64_t RunUs = uint64_t(R.RunMillis * 1000.0);
   Eng.JM.RunMicros.record(RunUs);
+  Eng.emitEngineSpan("run", Id, Tid, RunT0, RunUs);
+  if (Done)
+    finish(R);
+}
+
+JobResult JobSession::current(MachineStatus St, const ResumeOutcome &Out) {
+  JobResult R;
+  finishSegment(R, St, Out, 0);
+  Eng.JM.RunMicros.record(0);
+  if (Done)
+    finish(R);
   return R;
 }
 
-JobResult JobSession::startSegment(const Job &J) {
-  auto R0 = std::chrono::steady_clock::now();
-  Eng.JM.Running.add(1);
-  Exec->start(J.Entry, J.Args);
-  ResumeBudget Budget{J.MaxSteps, J.DeadlineMillis, J.MaxMemoryBytes};
-  ResumeOutcome Out;
-  MachineStatus St;
-  switch (J.Dispatcher) {
-  case DispatcherKind::Unwind:
-    Unw = std::make_unique<UnwindingDispatcher>(*Exec);
-    St = runBudgeted(
-        *Exec,
-        [&](Executor &) { return Unw->dispatch() == DispatchResult::Handled; },
-        Budget, Engine::DeadlineSliceSteps, Out, Cycles);
-    break;
-  case DispatcherKind::Cut:
-    Cut = std::make_unique<CuttingDispatcher>(*Exec);
-    St = runBudgeted(
-        *Exec,
-        [&](Executor &) { return Cut->dispatch() == DispatchResult::Handled; },
-        Budget, Engine::DeadlineSliceSteps, Out, Cycles);
-    break;
-  case DispatcherKind::None:
-  default:
-    St = runBudgeted(*Exec, [](Executor &) { return false; }, Budget,
-                     Engine::DeadlineSliceSteps, Out, Cycles);
-    break;
-  }
-  Eng.JM.Running.sub(1);
-  return finishSegment(St, Out, millisSince(R0));
-}
-
-JobResult JobSession::runSegment(const ResumeBudget &Budget) {
-  auto R0 = std::chrono::steady_clock::now();
-  Eng.JM.Running.add(1);
-  ResumeOutcome Out;
-  MachineStatus St =
-      runBudgeted(*Exec, [](Executor &) { return false; }, Budget,
-                  Engine::DeadlineSliceSteps, Out, Cycles);
-  Eng.JM.Running.sub(1);
-  return finishSegment(St, Out, millisSince(R0));
+void JobSession::startSegment(const Job &J, JobResult &R) {
+  runTimed(R, [&](ResumeOutcome &Out) {
+    Exec->start(J.Entry, J.Args);
+    ResumeBudget Budget{J.MaxSteps, J.DeadlineMillis, J.MaxMemoryBytes};
+    return runBudgeted(*Exec, std::ref(Disp), Budget, Out, Cycles);
+  });
 }
 
 JobResult JobSession::resumeRaw(const ResumeChoice &Choice,
@@ -178,64 +254,58 @@ JobResult JobSession::resumeRaw(const ResumeChoice &Choice,
   // the handle, and the budgeted run is the handle's own.
   Continuation C = Continuation::capture(*Exec);
   if (Done || C.state() != Continuation::State::Suspended)
-    return finishSegment(Exec->status(), LastOutcome, 0);
+    return current(Exec->status(), LastOutcome);
   Eng.JM.SessionResumes.add(1);
   C.setBudget(Budget);
-  auto R0 = std::chrono::steady_clock::now();
-  Eng.JM.Running.add(1);
-  Continuation::Result Res = C.resume(Choice, std::move(Params));
-  Eng.JM.Running.sub(1);
-  if (Res.Transferred)
-    // A refused transfer (rule violation, executor Wrong before any
-    // transition) is not a serviced yield; everything else is one cycle.
-    ++Cycles;
-  return finishSegment(Res.Status, Res.Outcome, millisSince(R0));
+  JobResult R;
+  runTimed(R, [&](ResumeOutcome &Out) {
+    Continuation::Result Res = C.resume(Choice, std::move(Params));
+    if (Res.Transferred)
+      // A refused transfer (rule violation, executor Wrong before any
+      // transition) is not a serviced yield; everything else is one cycle.
+      ++Cycles;
+    Out = Res.Outcome;
+    return Res.Status;
+  });
+  return R;
 }
 
 JobResult JobSession::unwindTop(size_t Count, const ResumeBudget &) {
   Continuation C = Continuation::capture(*Exec);
   if (Done || C.state() != Continuation::State::Suspended)
-    return finishSegment(Exec->status(), LastOutcome, 0);
+    return current(Exec->status(), LastOutcome);
   Eng.JM.SessionResumes.add(1);
   C.unwindTop(Count);
   // Still suspended on success; Wrong on an un-abortable call site.
-  return finishSegment(Exec->status(), ResumeOutcome{}, 0);
+  return current(Exec->status(), ResumeOutcome{});
 }
 
 JobResult JobSession::dispatchOnce(DispatcherKind K,
-                                    const ResumeBudget &Budget) {
+                                   const ResumeBudget &Budget) {
   if (Done || Exec->status() != MachineStatus::Suspended ||
       K == DispatcherKind::None)
-    return finishSegment(Exec->status(), LastOutcome, 0);
+    return current(Exec->status(), LastOutcome);
   Eng.JM.SessionResumes.add(1);
-  DispatchResult D;
-  if (K == DispatcherKind::Unwind) {
-    if (!Unw)
-      Unw = std::make_unique<UnwindingDispatcher>(*Exec);
-    D = Unw->dispatch();
-  } else {
-    if (!Cut)
-      Cut = std::make_unique<CuttingDispatcher>(*Exec);
-    D = Cut->dispatch();
-  }
-  LastHandled = D == DispatchResult::Handled;
+  LastHandled = Disp.dispatch(K) == DispatchResult::Handled;
   if (!LastHandled || Exec->status() == MachineStatus::Suspended)
     // Unhandled (or the dispatcher went wrong): report where we stand.
-    return finishSegment(Exec->status(), ResumeOutcome{}, 0);
+    return current(Exec->status(), ResumeOutcome{});
   ++Cycles;
-  return runSegment(Budget);
+  return continueRun(Budget);
 }
 
 JobResult JobSession::continueRun(const ResumeBudget &Budget) {
-  // A fuel/deadline/memory stop captures as a Paused continuation; resuming
-  // it is "just more budget".
+  // A fuel/deadline/memory stop (or a yield a dispatcher just resumed)
+  // captures as a Paused continuation; resuming it is "just more budget".
   Continuation C = Continuation::capture(*Exec);
   if (Done || C.state() != Continuation::State::Paused)
-    return finishSegment(Exec->status(), LastOutcome, 0);
+    return current(Exec->status(), LastOutcome);
   C.setBudget(Budget);
-  auto R0 = std::chrono::steady_clock::now();
-  Eng.JM.Running.add(1);
-  Continuation::Result Res = C.resume();
-  Eng.JM.Running.sub(1);
-  return finishSegment(Res.Status, Res.Outcome, millisSince(R0));
+  JobResult R;
+  runTimed(R, [&](ResumeOutcome &Out) {
+    Continuation::Result Res = C.resume();
+    Out = Res.Outcome;
+    return Res.Status;
+  });
+  return R;
 }

@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A JobSession is a job whose executor outlives its first run segment:
-/// Engine::startSession runs a Job exactly like Engine::runJob, but when
-/// the program yields and no in-process dispatcher services the suspension,
-/// the live executor is parked here instead of discarded. The caller then
+/// A JobSession is one job's executor with everything that runs it: its
+/// artifact, per-job observers, dispatcher holder (rts/Dispatchers.h), and
+/// outcome accounting. It is the engine's one job path: Engine::runJob
+/// runs a session's first segment and finishes the job where it stopped;
+/// Engine::startSession runs the same first segment and, when the job is
+/// left suspended or out of budget, hands the session over. The caller then
 /// plays the role of the front-end run-time system — one Table 1 operation
 /// at a time, possibly from another thread, possibly across a protocol
 /// boundary (src/svc resumes sessions over the wire; docs/SERVICE.md
@@ -22,22 +24,24 @@
 ///     run until the next suspension, a terminal status, or the budget.
 ///   - unwindTop: the Table 1 stack-walk primitive — pops activations while
 ///     staying suspended (no execution).
-///   - dispatchOnce: service the current yield with one of the engine's
-///     built-in dispatchers (rts/Dispatchers.h), then run to the next
-///     suspension. Driving every yield through dispatchOnce produces
-///     byte-identical observables to Engine::runJob with the same
-///     DispatcherKind — the wire-parity contract tests/ServiceTest.cpp
-///     pins. The dispatcher object persists across segments, so its
-///     cumulative walk statistics match the in-process run too.
+///   - dispatchOnce: service the current yield with one of the built-in
+///     dispatchers, then run to the next suspension. The dispatcher holder
+///     persists across segments and is the same object the first segment
+///     dispatched through, so driving every yield through dispatchOnce
+///     matches Engine::runJob with the same DispatcherKind by construction
+///     (tests/ServiceTest.cpp pins the wire parity).
 ///   - continueRun: no resume, just more budget (a segment that stopped on
 ///     fuel/deadline/memory picks up where it left off).
 ///
 /// Sessions are NOT thread-safe: like the executor they wrap, a session is
 /// one C-- thread and must be driven by one host thread at a time (the
 /// service layer serializes per-session access). A session must not
-/// outlive its Engine. Metrics: a session counts one engine.jobs at start
-/// and exactly one outcome counter when it finishes — at its terminal
-/// segment, or at destruction for sessions abandoned mid-flight.
+/// outlive its Engine, nor the streams and observer its Job named.
+/// Metrics: a job counts one engine.jobs when it starts and exactly one
+/// outcome counter when it finishes — at its terminal segment, when
+/// runJob returns, or at destruction for sessions abandoned mid-flight.
+/// engine.sessions and engine.sessions_open count only sessions handed to
+/// a caller.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,86 +64,77 @@ public:
 
   /// The engine-wide job id (same id space as submitted jobs).
   uint64_t id() const { return Id; }
-  Backend backend() const { return B; }
 
   /// True once the job reached Halted or Wrong; no further segment may run.
   bool done() const { return Done; }
-  MachineStatus status() const { return Exec->status(); }
-
-  /// The live executor (argArea() carries the pending yield request while
-  /// Suspended). Callers must respect the one-thread-at-a-time contract.
-  Executor &exec() { return *Exec; }
-  const Executor &exec() const { return *Exec; }
-
-  /// Serviced yields so far (across all segments).
-  uint64_t resumeCycles() const { return Cycles; }
-  /// Current memory footprint in bytes (page-granular).
-  uint64_t memoryBytes() const { return cmm::detail::memoryBytesOf(*Exec); }
 
   /// Whether the last dispatchOnce found a handler. A false value with the
   /// session still Suspended means the yield is not serviceable by that
   /// dispatcher — resuming again with the same kind cannot make progress.
   bool lastDispatchHandled() const { return LastHandled; }
 
-  /// One raw Table 1 resume, then run under \p Budget. Precondition:
-  /// status() == Suspended (violations leave the executor untouched and
-  /// return the current state).
+  /// One raw Table 1 resume, then run under \p Budget. Precondition: the
+  /// job is Suspended (violations leave the executor untouched and return
+  /// the current state).
   JobResult resumeRaw(const ResumeChoice &Choice, std::vector<Value> Params,
                       const ResumeBudget &Budget);
 
   /// Pops \p Count suspended activations (rtUnwindTop); every popped call
   /// site must be annotated `also aborts`, else the executor goes Wrong.
-  /// Does not execute any transition. Precondition: status() == Suspended.
+  /// Does not execute any transition. Precondition: Suspended.
   JobResult unwindTop(size_t Count, const ResumeBudget &Budget);
 
-  /// Services the current yield with the engine dispatcher for \p K (None
-  /// is invalid), then runs under \p Budget. Precondition: status() ==
-  /// Suspended.
+  /// Services the current yield with the \p K dispatcher (None is
+  /// invalid), then runs under \p Budget. Precondition: Suspended.
   JobResult dispatchOnce(DispatcherKind K, const ResumeBudget &Budget);
 
   /// Runs under \p Budget without resuming anything — continues a segment
-  /// that stopped on fuel, deadline, or memory. Precondition: status() ==
-  /// Running.
+  /// that stopped on fuel, deadline, or memory. Precondition: Running.
   JobResult continueRun(const ResumeBudget &Budget);
 
 private:
   friend class Engine;
-  JobSession(Engine &Eng, uint64_t Id, Backend B,
-             std::shared_ptr<const ProgramArtifact> Art,
-             std::shared_ptr<const IrProgram> Prog,
-             std::unique_ptr<Executor> Exec, uint64_t StartMicros);
+  struct Observers;
 
-  /// First segment: start(Entry, Args) and run with the job's own
-  /// dispatcher (persisted for later dispatchOnce calls).
-  JobResult startSegment(const Job &J);
-  /// Runs the budgeted loop with no handler and wraps up the segment.
-  JobResult runSegment(const ResumeBudget &Budget);
-  /// Builds the segment result and, on a terminal status, counts the job's
-  /// outcome exactly once.
-  JobResult finishSegment(MachineStatus St, const ResumeOutcome &Out,
-                          double RunMillis);
-  /// Counts the final outcome into the engine's job metrics (idempotent).
-  void countOutcome(MachineStatus St, const ResumeOutcome &Out);
+  /// Builds the executor over \p Art and attaches \p J's observers.
+  JobSession(Engine &Eng, const Job &J, uint64_t Id,
+             std::shared_ptr<const ProgramArtifact> Art, uint64_t StartMicros);
+
+  /// First segment: start(Entry, Args) and run with the job's dispatcher.
+  /// Fills the run fields of \p R, which already carries the compile ones.
+  void startSegment(const Job &J, JobResult &R);
+  /// Times one executing segment: \p Run drives the executor and returns
+  /// where it stopped; the result goes through finishSegment.
+  template <typename RunFn> void runTimed(JobResult &R, RunFn Run);
+  /// A segment that could not run: reports where the job stands.
+  JobResult current(MachineStatus St, const ResumeOutcome &Out);
+  /// Fills \p R from the executor and, on a terminal status, finishes the
+  /// job.
+  void finishSegment(JobResult &R, MachineStatus St, const ResumeOutcome &Out,
+                     double RunMillis);
+  /// Ends the job (idempotent): counts its outcome, closes its trace, and
+  /// puts its profile into \p R.
+  void finish(JobResult &R);
 
   Engine &Eng;
   uint64_t Id = 0;
-  Backend B = Backend::Walk;
-  /// Keep-alives: the artifact (cache-interned path) or the caller's
-  /// program (Job::Program path) must outlive the executor.
+  /// Keep-alive: the artifact must outlive the executor.
   std::shared_ptr<const ProgramArtifact> Art;
-  std::shared_ptr<const IrProgram> Prog;
   std::unique_ptr<Executor> Exec;
-  /// Persistent dispatchers, created on first use so their cumulative
-  /// statistics span the whole job like Engine::runJob's locals do.
-  std::unique_ptr<UnwindingDispatcher> Unw;
-  std::unique_ptr<CuttingDispatcher> Cut;
+  /// Built on first use of each kind, so its cumulative statistics span the
+  /// whole job.
+  DispatcherHolder Disp;
+  /// Per-job trace sinks and profiler; null when the job asked for none.
+  std::unique_ptr<Observers> Obs;
   uint64_t Cycles = 0;
   uint64_t StartMicros = 0;
   bool Done = false;
-  bool Counted = false;
+  bool Finished = false;
+  /// Returned by Engine::startSession (counted in engine.sessions_open).
+  bool Handed = false;
   bool LastHandled = true;
-  /// Last segment's stop condition, for the destructor's final accounting
-  /// of abandoned sessions.
+  /// Last segment's stop condition, for the outcome of a job that finishes
+  /// without reaching a terminal status.
   MachineStatus LastStatus = MachineStatus::Idle;
   ResumeOutcome LastOutcome;
 };

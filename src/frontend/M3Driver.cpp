@@ -49,15 +49,12 @@ M3RunResult cmm::runM3(const M3Program &P, uint64_t Input,
   Machine M(*P.Prog);
   M.start("m3main", {Value::bits(32, Input)});
 
-  MachineStatus St;
-  if (P.Policy == ExnPolicy::RuntimeUnwinding) {
-    UnwindingDispatcher D(M);
-    St = runWithRuntime(M, std::ref(D), MaxSteps);
-    R.DispatcherRuns = D.dispatches();
-    R.ActivationsWalked = D.walkStats().ActivationsVisited;
-  } else {
-    St = M.run(MaxSteps);
-  }
+  DispatcherHolder D(M, P.Policy == ExnPolicy::RuntimeUnwinding
+                           ? DispatcherKind::Unwind
+                           : DispatcherKind::None);
+  MachineStatus St = runWithRuntime(M, std::ref(D), MaxSteps);
+  R.DispatcherRuns = D.dispatches();
+  R.ActivationsWalked = D.walkStats().ActivationsVisited;
 
   R.MachineStats = M.stats();
   if (St != MachineStatus::Halted) {

@@ -94,11 +94,11 @@ DispatchResult CuttingDispatcher::dispatch() {
   };
 
   // Pop the topmost handler continuation from the in-memory handler stack.
-  std::optional<Value> Top = T.getGlobal(ExnTopGlobal);
+  std::optional<Value> Top = T.getGlobal("exn_top");
   if (!Top || Top->Raw == 0)
     return Done(DispatchResult::Unhandled);
   Value K = Value::bits(32, T.memory().loadBits(Top->Raw, 4));
-  T.setGlobal(ExnTopGlobal,
+  T.setGlobal("exn_top",
               Value::bits(Top->Width, Top->Raw - TargetInfo::pointerBytes()));
 
   CmmRuntime Rt(T);
@@ -111,4 +111,30 @@ DispatchResult CuttingDispatcher::dispatch() {
   if (!Rt.resume())
     return Done(DispatchResult::Unhandled);
   return Done(DispatchResult::Handled);
+}
+
+std::optional<DispatcherKind> cmm::parseDispatcherKind(std::string_view Name) {
+  if (Name == "none")
+    return DispatcherKind::None;
+  if (Name == "unwind")
+    return DispatcherKind::Unwind;
+  if (Name == "cut")
+    return DispatcherKind::Cut;
+  return std::nullopt;
+}
+
+DispatchResult DispatcherHolder::dispatch(DispatcherKind K) {
+  switch (K) {
+  case DispatcherKind::Unwind:
+    if (!Unw)
+      Unw.emplace(T);
+    return Unw->dispatch();
+  case DispatcherKind::Cut:
+    if (!Cut)
+      Cut.emplace(T);
+    return Cut->dispatch();
+  case DispatcherKind::None:
+    break;
+  }
+  return DispatchResult::Unhandled;
 }

@@ -19,6 +19,10 @@
 ///    by a global register); raising pops the topmost and cuts to it in
 ///    constant time.
 ///
+///  - DispatcherHolder picks between them by DispatcherKind. Every host
+///    (engine jobs and sessions, the scheduler, the differential harness,
+///    the Modula-3 driver) dispatches through it.
+///
 /// Yield convention shared with the generated code and the standard library:
 /// the arguments of the yield(...) call are (tag) or (tag, argument), where
 /// the tag identifies the source-language exception. The %%div family yields
@@ -32,7 +36,9 @@
 #include "rts/ExnFormat.h"
 #include "rts/RuntimeInterface.h"
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace cmm {
 
@@ -52,9 +58,6 @@ public:
   /// area, walks the stack, and resumes at the matching handler.
   DispatchResult dispatch();
 
-  /// Adapter for runWithRuntime.
-  bool operator()(Executor &) { return dispatch() == DispatchResult::Handled; }
-
   /// Cumulative walk statistics over every dispatch this object serviced.
   const RtStats &walkStats() const { return Walk; }
   uint64_t dispatches() const { return Dispatches; }
@@ -73,25 +76,58 @@ private:
 
 /// A constant-time dispatcher using SetCutToCont (Figure 2, bottom-left).
 /// The generated code maintains a stack of handler continuation values in
-/// memory; a global register holds the address of the topmost slot. Raising
-/// pops that continuation and cuts to it, passing (tag, arg).
+/// memory; the global register `exn_top` holds the address of the topmost
+/// slot (0 when no handler is active). Raising pops that continuation and
+/// cuts to it, passing (tag, arg).
 class CuttingDispatcher {
 public:
-  /// \p ExnTopGlobal names the global register holding the address of the
-  /// topmost handler-continuation slot (0 when no handler is active).
-  CuttingDispatcher(Executor &T, std::string ExnTopGlobal = "exn_top")
-      : T(T), ExnTopGlobal(std::move(ExnTopGlobal)) {}
+  explicit CuttingDispatcher(Executor &T) : T(T) {}
 
   DispatchResult dispatch();
-
-  bool operator()(Executor &) { return dispatch() == DispatchResult::Handled; }
 
   uint64_t dispatches() const { return Dispatches; }
 
 private:
   Executor &T;
-  std::string ExnTopGlobal;
   uint64_t Dispatches = 0;
+};
+
+/// Which front-end run-time system services exception yields.
+enum class DispatcherKind : uint8_t { None, Unwind, Cut };
+
+/// Parses the CLI spelling of a DispatcherKind: none, unwind, or cut.
+std::optional<DispatcherKind> parseDispatcherKind(std::string_view Name);
+
+/// Services yields with the dispatcher a DispatcherKind names. Each kind is
+/// built on first use and kept, so statistics span every dispatch of one
+/// thread.
+class DispatcherHolder {
+public:
+  explicit DispatcherHolder(Executor &T,
+                            DispatcherKind Default = DispatcherKind::None)
+      : T(T), Default(Default) {}
+
+  /// Services the current suspension with the \p K dispatcher (None
+  /// declines: Unhandled, nothing built).
+  DispatchResult dispatch(DispatcherKind K);
+
+  /// Adapter for runWithRuntime: dispatches with the default kind.
+  bool operator()(Executor &) {
+    return dispatch(Default) == DispatchResult::Handled;
+  }
+
+  /// The unwinding dispatcher's cumulative walk (zero if it never ran).
+  RtStats walkStats() const { return Unw ? Unw->walkStats() : RtStats{}; }
+  /// Dispatches serviced across both kinds.
+  uint64_t dispatches() const {
+    return (Unw ? Unw->dispatches() : 0) + (Cut ? Cut->dispatches() : 0);
+  }
+
+private:
+  Executor &T;
+  DispatcherKind Default;
+  std::optional<UnwindingDispatcher> Unw;
+  std::optional<CuttingDispatcher> Cut;
 };
 
 /// Decodes the yield arguments under the shared convention.

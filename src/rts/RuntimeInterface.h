@@ -22,9 +22,11 @@
 #ifndef CMM_RTS_RUNTIMEINTERFACE_H
 #define CMM_RTS_RUNTIMEINTERFACE_H
 
+#include "sem/Continuation.h"
 #include "sem/Executor.h"
 
 #include <optional>
+#include <utility>
 
 namespace cmm {
 
@@ -136,18 +138,15 @@ private:
 /// Runs \p M until it halts, goes wrong, or yields with no willing handler.
 /// \p Handler services each suspension (a front-end runtime); returning
 /// false declines, which stops execution with the machine left suspended.
+/// \p MaxSteps is the fuel of each resume segment. The budgeted loop of
+/// sem/Continuation.h with only fuel armed.
 template <typename HandlerFn>
 MachineStatus runWithRuntime(Executor &M, HandlerFn Handler,
                              uint64_t MaxSteps = ~uint64_t(0)) {
-  while (true) {
-    MachineStatus St = M.run(MaxSteps);
-    if (St != MachineStatus::Suspended)
-      return St;
-    if (!Handler(M))
-      return MachineStatus::Suspended;
-    if (M.status() == MachineStatus::Suspended)
-      return MachineStatus::Suspended; // handler did not actually resume
-  }
+  ResumeOutcome Out;
+  uint64_t Cycles = 0;
+  return detail::runBudgeted(M, std::move(Handler), ResumeBudget{MaxSteps},
+                             Out, Cycles);
 }
 
 } // namespace cmm

@@ -62,8 +62,7 @@ struct Scheduler::Green {
   std::vector<uint64_t> Joiners; ///< tids parked in join on this thread
   Value SendVal;                 ///< pending value while parked in send
   /// Per-thread exception dispatchers (created on first non-sched yield).
-  std::unique_ptr<UnwindingDispatcher> Unw;
-  std::unique_ptr<CuttingDispatcher> Cut;
+  std::optional<DispatcherHolder> Disp;
 };
 
 /// A bounded channel. Senders park when the queue is full, receivers when
@@ -389,16 +388,9 @@ void Scheduler::runSlice(Core &C, Green &G) {
     if (!Req.Valid) {
       // Not a scheduler request: delegate to the thread's exception
       // dispatcher, like a direct run under the same DispatcherKind would.
-      DispatchResult D = DispatchResult::Unhandled;
-      if (C.Opts.Exn == ExnDispatch::Unwind) {
-        if (!G.Unw)
-          G.Unw = std::make_unique<UnwindingDispatcher>(M);
-        D = G.Unw->dispatch();
-      } else if (C.Opts.Exn == ExnDispatch::Cut) {
-        if (!G.Cut)
-          G.Cut = std::make_unique<CuttingDispatcher>(M);
-        D = G.Cut->dispatch();
-      }
+      if (!G.Disp)
+        G.Disp.emplace(M);
+      DispatchResult D = G.Disp->dispatch(C.Opts.Exn);
       if (D == DispatchResult::Handled && Fuel > 0)
         continue; // resumed in place; spend the rest of the slice
       if (D == DispatchResult::Handled) {

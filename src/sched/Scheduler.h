@@ -53,6 +53,7 @@
 #define CMM_SCHED_SCHEDULER_H
 
 #include "obs/Metrics.h"
+#include "rts/Dispatchers.h"
 #include "sem/Continuation.h"
 #include "sem/Executor.h"
 #include "sem/Stats.h"
@@ -63,12 +64,6 @@
 #include <vector>
 
 namespace cmm::sched {
-
-/// Which exception dispatcher services non-scheduler yields inside green
-/// threads (rts/Dispatchers.h), so exception-strategy renderings run
-/// unchanged under the scheduler. Mirrors engine::DispatcherKind without
-/// depending on the engine (the engine depends on this library).
-enum class ExnDispatch : uint8_t { None, Unwind, Cut };
 
 struct SchedOptions {
   /// Abstract-machine transitions per run slice (the cooperative quantum).
@@ -83,8 +78,9 @@ struct SchedOptions {
   /// Per-green-thread fuel (lifetime transitions); ~0 disables. Mirrors
   /// Job::MaxSteps of a direct run.
   uint64_t MaxStepsPerThread = ~uint64_t(0);
-  /// Fallback dispatcher for non-scheduler yields (exception requests).
-  ExnDispatch Exn = ExnDispatch::None;
+  /// Fallback dispatcher for non-scheduler yields (exception requests), so
+  /// exception-strategy renderings run unchanged under the scheduler.
+  DispatcherKind Exn = DispatcherKind::None;
 };
 
 /// Everything one schedule produced.

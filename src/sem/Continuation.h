@@ -78,60 +78,6 @@ inline uint64_t memoryBytesOf(const Executor &M) {
   return uint64_t(M.memory().pageCount()) * Memory::PageSize;
 }
 
-/// The budgeted suspend/resume loop: run \p M under \p B, slicing execution
-/// into \p SliceSteps-transition chunks whenever a deadline or memory quota
-/// is armed (so enforcement granularity is one slice), and consulting the
-/// budgets between suspend/resume cycles as well (a yield-heavy program
-/// whose handler always resumes never completes a Running slice). \p
-/// Handler services one suspension and returns true when the executor was
-/// resumed. Increments \p ResumeCycles once per serviced yield.
-template <typename HandlerFn>
-MachineStatus runBudgeted(Executor &M, HandlerFn Handler, const ResumeBudget &B,
-                          uint64_t SliceSteps, ResumeOutcome &Out,
-                          uint64_t &ResumeCycles) {
-  auto T0 = std::chrono::steady_clock::now();
-  const bool Sliced = B.DeadlineMillis > 0 || B.MaxMemoryBytes > 0;
-  auto overBudget = [&] {
-    if (B.DeadlineMillis > 0 && millisSince(T0) >= B.DeadlineMillis) {
-      Out.TimedOut = true;
-      return true;
-    }
-    if (B.MaxMemoryBytes > 0 && memoryBytesOf(M) > B.MaxMemoryBytes) {
-      Out.MemExceeded = true;
-      return true;
-    }
-    return false;
-  };
-  for (;;) {
-    // Checked here as well as inside the slice loop: the suspend/resume
-    // cycle itself must consult the budgets.
-    if (overBudget())
-      return MachineStatus::Running;
-    uint64_t Remaining = B.MaxSteps;
-    MachineStatus St;
-    for (;;) {
-      uint64_t Slice = Remaining;
-      if (Sliced)
-        Slice = std::min<uint64_t>(Slice, SliceSteps);
-      St = M.run(Slice);
-      if (St != MachineStatus::Running)
-        break;
-      Remaining -= Slice;
-      if (Remaining == 0)
-        return MachineStatus::Running; // fuel exhausted
-      if (overBudget())
-        return MachineStatus::Running;
-    }
-    if (St != MachineStatus::Suspended)
-      return St;
-    if (!Handler(M))
-      return MachineStatus::Suspended; // unhandled yield
-    if (M.status() == MachineStatus::Suspended)
-      return MachineStatus::Suspended; // handler did not actually resume
-    ++ResumeCycles; // one serviced yield, machine running again
-  }
-}
-
 } // namespace detail
 
 /// The one-shot handle to a paused executor. See the file comment for the
@@ -157,8 +103,7 @@ public:
     bool Transferred = false;
   };
 
-  /// Deadline/memory enforcement granularity of the budgeted loop, shared
-  /// with Engine::DeadlineSliceSteps.
+  /// Deadline/memory enforcement granularity of the budgeted loop.
   static constexpr uint64_t SliceSteps = 1 << 16;
 
   Continuation() = default;
@@ -270,18 +215,78 @@ private:
     return ResumeChoice::ret(Index);
   }
 
-  Result runOut() {
-    Result R;
-    uint64_t Cycles = 0; // no handler, so never incremented
-    R.Status = detail::runBudgeted(
-        *M, [](Executor &) { return false; }, B, SliceSteps, R.Outcome, Cycles);
-    return R;
-  }
+  Result runOut();
 
   Executor *M = nullptr;
   State St = State::Empty;
   ResumeBudget B;
 };
+
+namespace detail {
+
+/// The one budgeted suspend/resume loop: run \p M under \p B, slicing
+/// execution into Continuation::SliceSteps-transition chunks whenever a
+/// deadline or memory quota is armed (so enforcement granularity is one
+/// slice), and consulting the budgets between suspend/resume cycles as well
+/// (a yield-heavy program whose handler always resumes never completes a
+/// Running slice). \p Handler services one suspension and returns true
+/// when the executor was resumed. Increments \p ResumeCycles once per
+/// serviced yield.
+template <typename HandlerFn>
+MachineStatus runBudgeted(Executor &M, HandlerFn Handler, const ResumeBudget &B,
+                          ResumeOutcome &Out, uint64_t &ResumeCycles) {
+  auto T0 = std::chrono::steady_clock::now();
+  const bool Sliced = B.DeadlineMillis > 0 || B.MaxMemoryBytes > 0;
+  auto overBudget = [&] {
+    if (B.DeadlineMillis > 0 && millisSince(T0) >= B.DeadlineMillis) {
+      Out.TimedOut = true;
+      return true;
+    }
+    if (B.MaxMemoryBytes > 0 && memoryBytesOf(M) > B.MaxMemoryBytes) {
+      Out.MemExceeded = true;
+      return true;
+    }
+    return false;
+  };
+  for (;;) {
+    // Checked here as well as inside the slice loop: the suspend/resume
+    // cycle itself must consult the budgets.
+    if (overBudget())
+      return MachineStatus::Running;
+    uint64_t Remaining = B.MaxSteps;
+    MachineStatus St;
+    for (;;) {
+      uint64_t Slice = Remaining;
+      if (Sliced)
+        Slice = std::min<uint64_t>(Slice, Continuation::SliceSteps);
+      St = M.run(Slice);
+      if (St != MachineStatus::Running)
+        break;
+      Remaining -= Slice;
+      if (Remaining == 0)
+        return MachineStatus::Running; // fuel exhausted
+      if (overBudget())
+        return MachineStatus::Running;
+    }
+    if (St != MachineStatus::Suspended)
+      return St;
+    if (!Handler(M))
+      return MachineStatus::Suspended; // unhandled yield
+    if (M.status() == MachineStatus::Suspended)
+      return MachineStatus::Suspended; // handler did not actually resume
+    ++ResumeCycles; // one serviced yield, machine running again
+  }
+}
+
+} // namespace detail
+
+inline Continuation::Result Continuation::runOut() {
+  Result R;
+  uint64_t Cycles = 0; // no handler, so never incremented
+  R.Status = detail::runBudgeted(
+      *M, [](Executor &) { return false; }, B, R.Outcome, Cycles);
+  return R;
+}
 
 } // namespace cmm
 

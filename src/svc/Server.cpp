@@ -704,15 +704,13 @@ void Server::handleCompile(std::shared_ptr<Conn> C, CompileRequestMsg M,
   engine::CompileRequest Req;
   Req.Sources = std::move(M.Sources);
   Req.Optimize = M.Optimize;
-  engine::CacheStats Before = Eng->cacheStats();
-  std::shared_ptr<const engine::ProgramArtifact> Art = Eng->compile(Req);
-  engine::CacheStats After = Eng->cacheStats();
   CompiledMsg Out;
+  std::shared_ptr<const engine::ProgramArtifact> Art =
+      Eng->compile(Req, &Out.CacheHit);
   Out.ReqId = M.ReqId;
   Out.Key = Art->key().str();
   Out.Ok = Art->ok();
   Out.Error = Art->error();
-  Out.CacheHit = After.Hits > Before.Hits;
   ByteWriter W;
   encodeCompiled(W, Out);
   sendFrame(C, MsgType::RespCompiled, W);

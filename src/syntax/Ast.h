@@ -22,6 +22,7 @@
 #include "syntax/Type.h"
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 namespace cmm {
@@ -47,6 +48,10 @@ public:
     Sizeof,
   };
 
+  virtual ~Expr() = default;
+  Expr(const Expr &) = delete;
+  Expr &operator=(const Expr &) = delete;
+
   Kind kind() const { return K; }
   SourceLoc loc() const { return Loc; }
 
@@ -62,6 +67,8 @@ private:
 };
 
 using ExprPtr = std::unique_ptr<Expr>;
+static_assert(std::has_virtual_destructor_v<Expr>,
+              "ExprPtr deletes derived expressions through the base");
 
 /// Integer literal. Its width is inferred from context by Sema (default:
 /// the native word).
@@ -227,6 +234,10 @@ public:
     Continuation,
   };
 
+  virtual ~Stmt() = default;
+  Stmt(const Stmt &) = delete;
+  Stmt &operator=(const Stmt &) = delete;
+
   Kind kind() const { return K; }
   SourceLoc loc() const { return Loc; }
 
@@ -239,6 +250,8 @@ private:
 };
 
 using StmtPtr = std::unique_ptr<Stmt>;
+static_assert(std::has_virtual_destructor_v<Stmt>,
+              "StmtPtr deletes derived statements through the base");
 
 /// Local variable declaration "bits32 s, p;".
 class VarDeclStmt : public Stmt {

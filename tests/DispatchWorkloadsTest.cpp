@@ -29,16 +29,8 @@ RunOutcome runBench(DispatchTechnique T, uint64_t Depth, uint64_t DoRaise) {
     return O;
   Machine M(*Prog);
   M.start("bench", {b32(Depth), b32(DoRaise)});
-  MachineStatus St;
-  if (T == DispatchTechnique::CutRuntime) {
-    CuttingDispatcher D(M);
-    St = runWithRuntime(M, std::ref(D));
-  } else if (T == DispatchTechnique::UnwindRuntime) {
-    UnwindingDispatcher D(M);
-    St = runWithRuntime(M, std::ref(D));
-  } else {
-    St = M.run();
-  }
+  DispatcherHolder D(M, runtimeDispatcher(T));
+  MachineStatus St = runWithRuntime(M, std::ref(D));
   if (St != MachineStatus::Halted) {
     ADD_FAILURE() << dispatchTechniqueName(T) << ": " << M.wrongReason();
     return O;
@@ -119,7 +111,7 @@ TEST(Figure2Shapes, RuntimeVariantsYieldGeneratedOnesDoNot) {
   for (DispatchTechnique T : AllDispatchTechniques) {
     RunOutcome O = runBench(T, 30, 1);
     ASSERT_TRUE(O.Ok);
-    if (dispatchUsesRuntime(T))
+    if (runtimeDispatcher(T) != DispatcherKind::None)
       EXPECT_EQ(O.S.Yields, 1u) << dispatchTechniqueName(T);
     else
       EXPECT_EQ(O.S.Yields, 0u) << dispatchTechniqueName(T);
@@ -153,7 +145,7 @@ TEST(Figure2Sweep, AllTechniquesAgreeOnTheSum) {
       M.start("sweep", {b32(50), b32(Period), b32(4)});
       MachineStatus St;
       if (T == DispatchTechnique::UnwindRuntime) {
-        UnwindingDispatcher D(M);
+        DispatcherHolder D(M, DispatcherKind::Unwind);
         St = runWithRuntime(M, std::ref(D));
       } else {
         St = M.run();
@@ -177,7 +169,7 @@ TEST(Figure2Sweep, CrossoverExists) {
     M.start("sweep", {b32(200), b32(Period), b32(6)});
     MachineStatus St;
     if (T == DispatchTechnique::UnwindRuntime) {
-      UnwindingDispatcher D(M);
+      DispatcherHolder D(M, DispatcherKind::Unwind);
       St = runWithRuntime(M, std::ref(D));
     } else {
       St = M.run();

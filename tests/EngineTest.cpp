@@ -16,6 +16,7 @@
 #include "costmodel/DispatchWorkloads.h"
 #include "engine/ArtifactStore.h"
 #include "engine/Engine.h"
+#include "engine/Session.h"
 #include "support/MiniJson.h"
 
 #include <atomic>
@@ -345,7 +346,7 @@ TEST(EngineJobs, DeadlineStopsARunawayJob) {
   EXPECT_EQ(R.Status, MachineStatus::Running);
   EXPECT_TRUE(R.TimedOut);
   // It ran at least one deadline slice before the check could fire.
-  EXPECT_GE(R.MachineStats.Steps, Engine::DeadlineSliceSteps);
+  EXPECT_GE(R.MachineStats.Steps, Continuation::SliceSteps);
 }
 
 TEST(EngineJobs, DeadlineStopsAYieldHeavyJob) {
@@ -538,6 +539,99 @@ TEST(EngineMetrics, JobAndPoolGaugesSettleAfterDrain) {
   // Each job rode exactly one pool task.
   EXPECT_EQ(Eng.pool().tasksExecuted(), 24u);
   EXPECT_EQ(M.counter("pool.tasks_executed").value(), 24u);
+}
+
+TEST(EngineMetrics, EveryPathCountsExactlyOneOutcomePerJob) {
+  Engine Eng({.Threads = 2});
+  auto Sweep = [] {
+    Job J;
+    J.Request.Sources = {sweepWorkloadSource(DispatchTechnique::UnwindRuntime)};
+    J.Entry = "sweep";
+    J.Args = {b32(6), b32(2), b32(4)};
+    return J;
+  };
+  auto Loop = [](auto Set) {
+    Job J;
+    J.Request = requestFor(loopForeverSource());
+    J.Args = {b32(0)};
+    Set(J);
+    return J;
+  };
+
+  // runJob: halted, wrong, and an unhandled yield.
+  Job Ok;
+  Ok.Request = requestFor(addOneSource());
+  Ok.Args = {b32(1)};
+  EXPECT_EQ(Eng.runJob(Ok).Status, MachineStatus::Halted);
+  Job Wrong;
+  Wrong.Request = requestFor(goesWrongSource());
+  Wrong.Args = {b32(1)};
+  EXPECT_EQ(Eng.runJob(Wrong).Status, MachineStatus::Wrong);
+  EXPECT_EQ(Eng.runJob(Sweep()).Status, MachineStatus::Suspended);
+  // submit/wait.
+  EXPECT_TRUE(Eng.wait(Eng.submit(Ok)).ok());
+  // A compile error.
+  Job Bad;
+  Bad.Request = requestFor("export main;\nmain(bits32 n) { return (q); }\n");
+  EXPECT_FALSE(Eng.runJob(Bad).CompileError.empty());
+  // Deadline, memory, and fuel stops.
+  EXPECT_TRUE(
+      Eng.runJob(Loop([](Job &J) { J.DeadlineMillis = 5; })).TimedOut);
+  Job Hog;
+  Hog.Request = requestFor("export main;\n"
+                           "main(bits32 n) {\n"
+                           "  bits32 a;\n"
+                           "  a = 0;\n"
+                           "loop:\n"
+                           "  bits32[a] = n;\n"
+                           "  a = a + 4096;\n"
+                           "  goto loop;\n"
+                           "}\n");
+  Hog.Args = {b32(7)};
+  Hog.MaxMemoryBytes = 64 * 4096;
+  EXPECT_TRUE(Eng.runJob(Hog).MemExceeded);
+  EXPECT_EQ(Eng.runJob(Loop([](Job &J) { J.MaxSteps = 1000; })).Status,
+            MachineStatus::Running);
+  // A scheduled job.
+  Job Sched = Ok;
+  Sched.Sched.Enabled = true;
+  EXPECT_TRUE(Eng.runJob(Sched).ok());
+
+  // Sessions: parked then resumed to halt, parked then abandoned,
+  // fuel-stopped then abandoned, and one that finishes in its first
+  // segment (never handed out).
+  JobResult R;
+  std::unique_ptr<JobSession> S = Eng.startSession(Sweep(), R);
+  ASSERT_TRUE(S);
+  for (int I = 0; I < 100 && !S->done(); ++I)
+    R = S->dispatchOnce(DispatcherKind::Unwind, {});
+  EXPECT_EQ(R.Status, MachineStatus::Halted);
+  S.reset();
+  S = Eng.startSession(Sweep(), R);
+  ASSERT_TRUE(S);
+  S.reset();
+  S = Eng.startSession(Loop([](Job &J) { J.MaxSteps = 1000; }), R);
+  ASSERT_TRUE(S);
+  EXPECT_EQ(Eng.metrics().gauge("engine.sessions_open").value(), 1);
+  S.reset();
+  EXPECT_FALSE(Eng.startSession(Ok, R));
+  EXPECT_EQ(R.Status, MachineStatus::Halted);
+
+  MetricsRegistry &M = Eng.metrics();
+  uint64_t Outcomes = 0;
+  for (const char *Name :
+       {"engine.jobs_halted", "engine.jobs_wrong", "engine.jobs_suspended",
+        "engine.jobs_compile_error", "engine.jobs_timeout",
+        "engine.jobs_fuel_exhausted", "engine.jobs_mem_exceeded"}) {
+    EXPECT_GE(M.counter(Name).value(), 1u) << Name;
+    Outcomes += M.counter(Name).value();
+  }
+  EXPECT_EQ(M.counter("engine.jobs").value(), 13u);
+  EXPECT_EQ(Outcomes, M.counter("engine.jobs").value());
+  EXPECT_EQ(M.counter("engine.sessions").value(), 3u);
+  EXPECT_EQ(M.gauge("engine.jobs_running").value(), 0);
+  EXPECT_EQ(M.gauge("engine.jobs_queued").value(), 0);
+  EXPECT_EQ(M.gauge("engine.sessions_open").value(), 0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -86,7 +86,7 @@ TEST(UnwindingFigure8, NormalPathHasZeroDispatchCost) {
   ASSERT_TRUE(Prog);
   Machine M(*Prog);
   M.start("main", {b32(5), b32(0)});
-  UnwindingDispatcher D(M);
+  DispatcherHolder D(M, DispatcherKind::Unwind);
   MachineStatus St = runWithRuntime(M, std::ref(D));
   ASSERT_EQ(St, MachineStatus::Halted);
   ASSERT_EQ(M.argArea().size(), 2u);
@@ -101,7 +101,7 @@ TEST(UnwindingFigure8, BadMoveUnwindsToHandlerWithArgument) {
   ASSERT_TRUE(Prog);
   Machine M(*Prog);
   M.start("main", {b32(7), b32(0)});
-  UnwindingDispatcher D(M);
+  DispatcherHolder D(M, DispatcherKind::Unwind);
   ASSERT_EQ(runWithRuntime(M, std::ref(D)), MachineStatus::Halted);
   EXPECT_EQ(M.argArea()[0], b32(142)); // 100 + the RAISE argument
   EXPECT_EQ(M.argArea()[1], b32(1));   // finalization still runs
@@ -113,7 +113,7 @@ TEST(UnwindingFigure8, SecondHandlerWithoutArgument) {
   ASSERT_TRUE(Prog);
   Machine M(*Prog);
   M.start("main", {b32(9), b32(0)});
-  UnwindingDispatcher D(M);
+  DispatcherHolder D(M, DispatcherKind::Unwind);
   ASSERT_EQ(runWithRuntime(M, std::ref(D)), MachineStatus::Halted);
   EXPECT_EQ(M.argArea()[0], b32(200));
 }
@@ -126,7 +126,7 @@ TEST(UnwindingFigure8, WalkLengthGrowsWithStackDepth) {
   {
     Machine M(*Prog);
     M.start("main", {b32(7), b32(1)});
-    UnwindingDispatcher D(M);
+    DispatcherHolder D(M, DispatcherKind::Unwind);
     ASSERT_EQ(runWithRuntime(M, std::ref(D)), MachineStatus::Halted);
     EXPECT_EQ(M.argArea()[0], b32(142));
     Short = D.walkStats().ActivationsVisited;
@@ -134,7 +134,7 @@ TEST(UnwindingFigure8, WalkLengthGrowsWithStackDepth) {
   {
     Machine M(*Prog);
     M.start("main", {b32(7), b32(30)});
-    UnwindingDispatcher D(M);
+    DispatcherHolder D(M, DispatcherKind::Unwind);
     ASSERT_EQ(runWithRuntime(M, std::ref(D)), MachineStatus::Halted);
     EXPECT_EQ(M.argArea()[0], b32(142));
     Long = D.walkStats().ActivationsVisited;
@@ -154,7 +154,7 @@ main() { f() also aborts; return (0); }
   ASSERT_TRUE(Prog);
   Machine M(*Prog);
   M.start("main");
-  UnwindingDispatcher D(M);
+  DispatcherHolder D(M, DispatcherKind::Unwind);
   MachineStatus St = runWithRuntime(M, std::ref(D));
   // Figure 9 would abort(); we decline the yield and stop.
   EXPECT_EQ(St, MachineStatus::Suspended);
@@ -400,7 +400,7 @@ main(bits32 a, bits32 b) {
   {
     Machine M(*Prog);
     M.start("main", {b32(42), b32(6)});
-    UnwindingDispatcher D(M);
+    DispatcherHolder D(M, DispatcherKind::Unwind);
     ASSERT_EQ(runWithRuntime(M, std::ref(D)), MachineStatus::Halted);
     EXPECT_EQ(M.argArea()[0], b32(7));
     EXPECT_EQ(D.dispatches(), 0u);
@@ -408,7 +408,7 @@ main(bits32 a, bits32 b) {
   {
     Machine M(*Prog);
     M.start("main", {b32(42), b32(0)});
-    UnwindingDispatcher D(M);
+    DispatcherHolder D(M, DispatcherKind::Unwind);
     ASSERT_EQ(runWithRuntime(M, std::ref(D)), MachineStatus::Halted);
     EXPECT_EQ(M.argArea()[0], b32(0xFFFFFFFF));
     EXPECT_EQ(D.dispatches(), 1u);

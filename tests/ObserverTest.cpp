@@ -263,7 +263,7 @@ TEST(Observer, UnwindDispatchEvents) {
   CountingObserver C;
   M.setObserver(&C);
   M.start("main", {b32(7), b32(3)});
-  UnwindingDispatcher D(M);
+  DispatcherHolder D(M, DispatcherKind::Unwind);
   ASSERT_EQ(runWithRuntime(M, std::ref(D)), MachineStatus::Halted);
   EXPECT_EQ(M.argArea()[0], b32(142));
 

@@ -388,7 +388,7 @@ TEST(SchedTest, UnwindDispatcherServicesGreenThreads) {
   std::unique_ptr<IrProgram> Prog = cmm::test::compile({Bench, Main});
   ASSERT_TRUE(Prog);
   SchedOptions O;
-  O.Exn = ExnDispatch::Unwind;
+  O.Exn = DispatcherKind::Unwind;
   SchedResult R =
       runSched(*Prog, engine::Backend::Vm, O, "sched_main", {b32(6)});
   ASSERT_TRUE(R.ok()) << R.WrongReason;

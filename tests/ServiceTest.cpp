@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <thread>
 
 using namespace cmm;
@@ -179,6 +180,50 @@ TEST(ServiceRoundTrip, CompileInternsAndReportsCacheHit) {
   ASSERT_TRUE(R3.has_value());
   EXPECT_FALSE(R3->Ok);
   EXPECT_FALSE(R3->Error.empty());
+}
+
+TEST(ServiceRoundTrip, CompileHitFlagIsPerRequest) {
+  // The hit flag must describe this request's own lookup: hits on other
+  // keys landing concurrently (a second client hammering one hot source)
+  // must never turn a cold compile into a reported hit.
+  ServiceHarness H;
+  auto Cold = H.client(), Hot = H.client();
+  ASSERT_TRUE(Cold && Hot);
+  svc::CompileRequestMsg HotMsg;
+  HotMsg.Tenant = "t";
+  HotMsg.Sources = {addOneSource()};
+  ASSERT_TRUE(Hot->compile(HotMsg).has_value());
+
+  std::atomic<bool> Stop{false};
+  std::thread Hammer([&] {
+    constexpr size_t Window = 8;
+    std::deque<uint64_t> Pending;
+    while (!Stop.load() || !Pending.empty()) {
+      if (!Stop.load() && Pending.size() < Window) {
+        Pending.push_back(Hot->sendCompile(HotMsg));
+        continue;
+      }
+      std::optional<svc::Reply> R = Hot->wait(Pending.front());
+      Pending.pop_front();
+      if (!R)
+        return;
+      EXPECT_TRUE(R->Compiled.CacheHit);
+    }
+  });
+  unsigned FalseHits = 0;
+  for (unsigned I = 0; I < 200; ++I) {
+    svc::CompileRequestMsg M;
+    M.Tenant = "t";
+    M.Sources = {"export main;\nmain(bits32 n) { return (n + " +
+                 std::to_string(I + 2) + "); }\n"};
+    std::optional<svc::CompiledMsg> R = Cold->compile(M);
+    ASSERT_TRUE(R.has_value()) << Cold->error();
+    EXPECT_TRUE(R->Ok) << R->Error;
+    FalseHits += R->CacheHit;
+  }
+  Stop.store(true);
+  Hammer.join();
+  EXPECT_EQ(FalseHits, 0u) << "cold compiles reported as cache hits";
 }
 
 TEST(ServiceRoundTrip, WrongJobReportsReasonNotCrash) {

@@ -128,7 +128,7 @@ TEST(Trace, ChromeFormatIsStructurallySound) {
   TraceSink Sink(OS, TO);
   M.setObserver(&Sink);
   M.start("main", {b32(7), b32(2)});
-  UnwindingDispatcher D(M);
+  DispatcherHolder D(M, DispatcherKind::Unwind);
   ASSERT_EQ(runWithRuntime(M, std::ref(D)), MachineStatus::Halted);
   Sink.finish();
 
@@ -211,7 +211,7 @@ TEST(Profiler, TotalsAgreeWithStats) {
   Profiler P;
   M.setObserver(&P);
   M.start("main", {b32(7), b32(3)});
-  UnwindingDispatcher D(M);
+  DispatcherHolder D(M, DispatcherKind::Unwind);
   ASSERT_EQ(runWithRuntime(M, std::ref(D)), MachineStatus::Halted);
   EXPECT_EQ(M.argArea()[0], b32(142));
 

@@ -7,8 +7,8 @@
 //   cmmi [options] file.cmm... [-- arg...]
 //
 // The shared flags (--backend, --optimize, --trace*, --profile, --stats*)
-// are parsed by support/Options.h; executors are constructed through
-// engine::makeExecutor, the same facade every other tool and test uses.
+// are parsed by support/Options.h; programs compile and run through the
+// engine (Engine::compile, Engine::runJob), like every other embedder.
 // Tool-specific flags:
 //
 //   --entry NAME     procedure to run (default: main)
@@ -33,13 +33,10 @@
 #include "engine/Engine.h"
 #include "ir/IlText.h"
 #include "ir/IrPrinter.h"
-#include "ir/Translate.h"
-#include "ir/Validate.h"
 #include "obs/Profiler.h"
 #include "obs/StatsJson.h"
 #include "obs/Trace.h"
 #include "opt/PassManager.h"
-#include "rts/Dispatchers.h"
 #include "support/Options.h"
 
 #include <cstdio>
@@ -153,108 +150,61 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  std::vector<std::string> Sources;
-  for (const std::string &File : Files) {
-    std::ifstream In(File);
+  auto ReadFile = [](const std::string &Path, std::string &Out) {
+    std::ifstream In(Path, std::ios::binary);
     if (!In) {
-      std::fprintf(stderr, "cmmi: cannot open '%s'\n", File.c_str());
-      return 1;
+      std::fprintf(stderr, "cmmi: cannot open '%s'\n", Path.c_str());
+      return false;
     }
     std::ostringstream Buf;
     Buf << In.rdbuf();
-    Sources.push_back(Buf.str());
-  }
+    Out = Buf.str();
+    return true;
+  };
+  // --optimize carries the PlaceCalleeSaves configuration cmmi always
+  // optimizes with.
+  engine::CompileRequest Req;
+  Req.IncludeStdLib = StdLib;
+  Req.Optimize = Common.Optimize;
+  Req.Opt.PlaceCalleeSaves = Common.Optimize;
+  for (const std::string &File : Files)
+    if (!ReadFile(File, Req.Sources.emplace_back()))
+      return 1;
 
-  // The run goes through the engine's job path — the same budgeted loop,
-  // observer fan-in, and dispatcher wiring every embedder gets. The cache
-  // is off by default (the hand-compiled program is passed directly via
-  // Job::Program, keeping the OptReport available for --opt-stats);
-  // --cache-dir turns it on so the persistent tier is consulted and
-  // populated (docs/ENGINE.md § "Persistent cache").
+  // Compile and run through the engine: the same compile path, budgeted
+  // loop, observer fan-in, and dispatcher wiring every embedder gets. The
+  // cache is off by default; --cache-dir turns it on so the persistent tier
+  // is consulted and populated (docs/ENGINE.md § "Persistent cache").
   engine::EngineOptions EOpts;
   EOpts.Threads = 1;
   EOpts.EnableCache = !Common.CacheDir.empty();
   EOpts.CacheDir = Common.CacheDir;
   engine::Engine Eng(EOpts);
 
-  std::shared_ptr<const engine::ProgramArtifact> Loaded;
-  std::unique_ptr<IrProgram> Prog;
-  OptReport OptR;
+  std::shared_ptr<const engine::ProgramArtifact> Art;
   if (!LoadArtifact.empty()) {
-    std::ifstream In(LoadArtifact, std::ios::binary);
-    if (!In) {
-      std::fprintf(stderr, "cmmi: cannot open '%s'\n", LoadArtifact.c_str());
+    std::string Bytes, Err;
+    if (!ReadFile(LoadArtifact, Bytes))
       return 1;
-    }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    std::string Bytes = Buf.str();
-    std::string Err;
-    Loaded = engine::ArtifactStore::deserialize(
+    Art = engine::ArtifactStore::deserialize(
         reinterpret_cast<const uint8_t *>(Bytes.data()), Bytes.size(),
         /*ExpectKey=*/nullptr, &Err);
-    if (!Loaded) {
+    if (!Art) {
       std::fprintf(stderr, "cmmi: invalid artifact '%s': %s\n",
                    LoadArtifact.c_str(), Err.c_str());
       return 1;
     }
-  } else if (!Common.CacheDir.empty()) {
-    // Through the engine cache, so a repeated invocation loads the stored
-    // artifact instead of recompiling. (--opt-stats reports nothing on
-    // this path: artifacts do not keep the OptReport.)
-    engine::CompileRequest Req;
-    Req.Sources = Sources;
-    Req.IncludeStdLib = StdLib;
-    Req.Optimize = Common.Optimize;
-    if (Common.Optimize)
-      Req.Opt.PlaceCalleeSaves = true;
-    Loaded = Eng.compile(Req);
-    if (!Loaded->ok()) {
-      std::fprintf(stderr, "%s", Loaded->error().c_str());
-      return 1;
-    }
   } else {
-    // Compiled by hand rather than through engine::compileArtifact because
-    // --opt-stats needs the OptReport, which artifacts do not keep.
-    DiagnosticEngine Diags;
-    Prog = compileProgram(Sources, Diags, StdLib);
-    if (!Prog) {
-      std::fprintf(stderr, "%s", Diags.str().c_str());
+    Art = Eng.compile(Req);
+    if (!Art->ok()) {
+      std::fprintf(stderr, "%s", Art->error().c_str());
       return 1;
-    }
-    if (Common.Optimize) {
-      OptOptions Opts;
-      Opts.PlaceCalleeSaves = true;
-      OptR = optimizeProgram(*Prog, Opts);
-      DiagnosticEngine VDiags;
-      if (!validateProgram(*Prog, VDiags)) {
-        std::fprintf(stderr, "internal: optimizer broke the graph\n%s",
-                     VDiags.str().c_str());
-        return 1;
-      }
     }
   }
-  const IrProgram &ProgRef = Loaded ? *Loaded->program() : *Prog;
+  const IrProgram &ProgRef = *Art->program();
 
   if (!EmitArtifact.empty()) {
-    // Compile through the artifact path (same key derivation as the
-    // engine's cache) and write the container; --optimize carries the
-    // PlaceCalleeSaves configuration cmmi always optimizes with.
-    std::shared_ptr<const engine::ProgramArtifact> A = Loaded;
-    if (!A) {
-      engine::CompileRequest Req;
-      Req.Sources = Sources;
-      Req.IncludeStdLib = StdLib;
-      Req.Optimize = Common.Optimize;
-      if (Common.Optimize)
-        Req.Opt.PlaceCalleeSaves = true;
-      A = engine::compileArtifact(Req);
-      if (!A->ok()) {
-        std::fprintf(stderr, "cmmi: %s\n", A->error().c_str());
-        return 1;
-      }
-    }
-    std::vector<uint8_t> Blob = engine::ArtifactStore::serialize(*A);
+    std::vector<uint8_t> Blob = engine::ArtifactStore::serialize(*Art);
     std::ofstream Out(EmitArtifact, std::ios::binary | std::ios::trunc);
     if (!Out ||
         !Out.write(reinterpret_cast<const char *>(Blob.data()),
@@ -263,7 +213,7 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     std::fprintf(stderr, "cmmi: wrote %zu bytes (key %s) to %s\n",
-                 Blob.size(), A->key().str().c_str(), EmitArtifact.c_str());
+                 Blob.size(), Art->key().str().c_str(), EmitArtifact.c_str());
     return 0;
   }
   if (DumpIr) {
@@ -278,8 +228,7 @@ int main(int Argc, char **Argv) {
     if (Common.Backend == "threaded") {
       // The threaded view: the same listing over the fused key stream,
       // with superinstruction mnemonics and the fusion-site tally.
-      auto TP = fuseProgram(std::make_shared<const CompiledProgram>(
-          compileToBytecode(ProgRef)));
+      auto TP = Art->threaded();
       for (uint32_t PI = 0; PI < TP->Bytecode->Procs.size(); ++PI)
         std::printf("%s",
                     disassembleThreaded(*TP, PI, *ProgRef.Names).c_str());
@@ -292,34 +241,24 @@ int main(int Argc, char **Argv) {
                       (unsigned long long)N);
       return 0;
     }
-    CompiledProgram Compiled = compileToBytecode(ProgRef);
-    for (const CompiledProc &C : Compiled.Procs)
+    for (const CompiledProc &C : Art->bytecode()->Procs)
       std::printf("%s", disassemble(C, *ProgRef.Names).c_str());
     return 0;
   }
 
-  engine::DispatcherKind DK;
-  if (Dispatcher == "unwind")
-    DK = engine::DispatcherKind::Unwind;
-  else if (Dispatcher == "cut")
-    DK = engine::DispatcherKind::Cut;
-  else if (Dispatcher == "none")
-    DK = engine::DispatcherKind::None;
-  else {
+  std::optional<DispatcherKind> DK = parseDispatcherKind(Dispatcher);
+  if (!DK) {
     std::fprintf(stderr, "cmmi: unknown dispatcher '%s'\n",
                  Dispatcher.c_str());
     return 1;
   }
 
   engine::Job J;
-  if (Loaded)
-    J.Artifact = Loaded;
-  else
-    J.Program = std::shared_ptr<const IrProgram>(std::move(Prog));
+  J.Artifact = Art;
   J.B = *engine::parseBackend(Common.Backend);
   J.Entry = Entry;
   J.Args = std::move(Args);
-  J.Dispatcher = DK;
+  J.Dispatcher = *DK;
 
   std::ofstream TraceFileStream;
   if (!Common.TraceFile.empty()) {
@@ -393,7 +332,7 @@ int main(int Argc, char **Argv) {
         (unsigned long long)S.MaxStackDepth);
   }
   if (Common.OptStats && Common.Optimize)
-    std::fprintf(stderr, "%s", optReportText(OptR).c_str());
+    std::fprintf(stderr, "%s", optReportText(Art->optReport()).c_str());
   if (Common.Profile)
     std::fprintf(stderr, "%s", Prof.report().c_str());
 
@@ -414,7 +353,7 @@ int main(int Argc, char **Argv) {
     }
     if (Common.Optimize) {
       W.key("opt");
-      writeOptReportJson(W, OptR);
+      writeOptReportJson(W, Art->optReport());
     }
     if (Common.Profile) {
       W.key("profile");

@@ -114,7 +114,8 @@ int main(int Argc, char **Argv) {
     usage();
     return 1;
   }
-  if (Dispatcher != "none" && Dispatcher != "unwind" && Dispatcher != "cut") {
+  std::optional<DispatcherKind> DK = parseDispatcherKind(Dispatcher);
+  if (!DK) {
     std::fprintf(stderr, "cmmsched: unknown dispatcher '%s'\n",
                  Dispatcher.c_str());
     return 1;
@@ -141,9 +142,7 @@ int main(int Argc, char **Argv) {
   J.B = *engine::parseBackend(Common.Backend);
   J.Entry = Entry;
   J.Args = std::move(Args);
-  J.Dispatcher = Dispatcher == "unwind" ? engine::DispatcherKind::Unwind
-                 : Dispatcher == "cut"  ? engine::DispatcherKind::Cut
-                                        : engine::DispatcherKind::None;
+  J.Dispatcher = *DK;
   J.Sched.Enabled = true;
   J.Sched.Drivers = Drivers;
   J.Sched.SliceFuel = SliceFuel;
