@@ -6,30 +6,37 @@
 
 #include "ir/Succ.h"
 
+#include <algorithm>
+
 using namespace cmm;
 
-std::vector<Node *> cmm::reachableNodes(const IrProc &P) {
-  std::vector<Node *> Order;
+void cmm::reachableNodes(const IrProc &P, ReachScratch &S) {
+  S.Order.clear();
   if (!P.EntryPoint)
-    return Order;
-  std::vector<bool> Seen(P.Nodes.size(), false);
-  std::vector<Node *> Stack = {P.EntryPoint};
-  Seen[P.EntryPoint->Id] = true;
-  while (!Stack.empty()) {
-    Node *N = Stack.back();
-    Stack.pop_back();
-    Order.push_back(N);
-    // Collect successors, then push in reverse so DFS visits them in
-    // enumeration order.
-    std::vector<Node *> Succs;
-    forEachSucc(*N, [&](Node *S, EdgeKind) {
-      if (!Seen[S->Id]) {
-        Seen[S->Id] = true;
-        Succs.push_back(S);
+    return;
+  S.Order.reserve(P.Nodes.size());
+  S.Seen.assign(P.Nodes.size(), 0);
+  S.Stack.assign(1, P.EntryPoint);
+  S.Seen[P.EntryPoint->Id] = 1;
+  while (!S.Stack.empty()) {
+    Node *N = S.Stack.back();
+    S.Stack.pop_back();
+    S.Order.push_back(N);
+    // Push the unseen successors, then reverse them in place so DFS visits
+    // them in enumeration order.
+    size_t First = S.Stack.size();
+    forEachSucc(*N, [&](Node *Succ, EdgeKind) {
+      if (!S.Seen[Succ->Id]) {
+        S.Seen[Succ->Id] = 1;
+        S.Stack.push_back(Succ);
       }
     });
-    for (auto It = Succs.rbegin(); It != Succs.rend(); ++It)
-      Stack.push_back(*It);
+    std::reverse(S.Stack.begin() + First, S.Stack.end());
   }
-  return Order;
+}
+
+std::vector<Node *> cmm::reachableNodes(const IrProc &P) {
+  ReachScratch S;
+  reachableNodes(P, S);
+  return std::move(S.Order);
 }

@@ -92,6 +92,16 @@ void forEachSucc(const Node &N, Fn F, bool IncludeExceptional = true) {
 /// enumeration order). Exceptional edges included.
 std::vector<Node *> reachableNodes(const IrProc &P);
 
+/// Reusable storage for walks of the reachable graph.
+struct ReachScratch {
+  std::vector<Node *> Order, Stack;
+  std::vector<uint8_t> Seen; ///< indexed by Node::Id
+};
+
+/// reachableNodes into \p S.Order, reusing \p S's storage: once \p S has
+/// seen a procedure this large, the walk allocates nothing.
+void reachableNodes(const IrProc &P, ReachScratch &S);
+
 } // namespace cmm
 
 #endif // CMM_IR_SUCC_H

@@ -15,12 +15,15 @@ CalleeSavesReport cmm::placeCalleeSaves(IrProc &P, const IrProgram &Prog,
     return Report;
 
   LocUniverse U = LocUniverse::forProc(P, Prog);
-  Liveness L = computeLiveness(P, U,
-                               /*WithExceptionalEdges=*/Opts.RespectCutEdges);
+  FlowGraph G;
+  G.build(P, /*WithPreds=*/true,
+          /*WithExceptionalEdges=*/Opts.RespectCutEdges);
+  Liveness L;
+  computeLiveness(G, U, /*WithExceptionalEdges=*/Opts.RespectCutEdges, L);
 
   // Snapshot the calls before we start inserting nodes.
   std::vector<CallNode *> Calls;
-  for (Node *N : reachableNodes(P))
+  for (Node *N : G.order())
     if (auto *C = dyn_cast<CallNode>(N))
       Calls.push_back(C);
 
@@ -34,7 +37,7 @@ CalleeSavesReport cmm::placeCalleeSaves(IrProc &P, const IrProgram &Prog,
     std::vector<unsigned> Candidates;
     LiveAcross.forEach([&](size_t I) {
       if (U.isVar(static_cast<unsigned>(I)) &&
-          P.VarTypes.count(U.varAt(static_cast<unsigned>(I))))
+          !U.isGlobalVar(static_cast<unsigned>(I)))
         Candidates.push_back(static_cast<unsigned>(I));
     });
     if (Candidates.empty())
@@ -82,9 +85,11 @@ CalleeSavesReport cmm::placeCalleeSaves(IrProc &P, const IrProgram &Prog,
   // returning the registers' contents to the frame before the call. Empty
   // sets only shrink the downstream may-Sigma, so one pass suffices.
   if (Opts.RespectCutEdges) {
-    std::vector<BitVector> MaySigma = computeMaySigma(P, U);
+    G.build(P);
+    BitMatrix MaySigma;
+    computeMaySigma(G, U, MaySigma);
     std::vector<CallNode *> Hazardous;
-    for (Node *N : reachableNodes(P)) {
+    for (Node *N : G.order()) {
       auto *C = dyn_cast<CallNode>(N);
       if (!C || C->Bundle.CutsTo.empty())
         continue;
@@ -111,7 +116,7 @@ unsigned cmm::countKilledLiveValues(const IrProc &P, const IrProgram &Prog) {
     return 0;
   LocUniverse U = LocUniverse::forProc(P, Prog);
   Liveness L = computeLiveness(P, U, /*WithExceptionalEdges=*/true);
-  std::vector<BitVector> Sigma = computeMaySigma(P, U);
+  BitMatrix Sigma = computeMaySigma(P, U);
 
   unsigned Bugs = 0;
   for (Node *N : reachableNodes(P)) {

@@ -9,7 +9,8 @@
 #include "support/Assert.h"
 #include "syntax/PrimOps.h"
 
-#include <functional>
+#include <bit>
+#include <cmath>
 
 using namespace cmm;
 
@@ -19,9 +20,9 @@ namespace {
 // Folding
 //===----------------------------------------------------------------------===//
 
-using LookupFn = std::function<std::optional<Value>(Symbol)>;
-
 /// Evaluates \p E when all leaves are known and evaluation cannot fail.
+/// \p Lookup(Symbol) gives a variable's known value, if any.
+template <typename LookupFn>
 std::optional<Value> fold(const Expr *E, const LookupFn &Lookup,
                           const Interner &Names) {
   switch (E->kind()) {
@@ -122,16 +123,21 @@ std::optional<Value> fold(const Expr *E, const LookupFn &Lookup,
 
   case Expr::Kind::Prim: {
     const auto *P = cast<PrimExpr>(E);
+    // Sema checks arity: every primitive takes one or two operands. The
+    // operands are folded before the (string-keyed) primitive lookup, which
+    // most expressions then never reach.
+    Value Args[2];
+    if (P->Args.size() > std::size(Args))
+      return std::nullopt;
+    for (size_t I = 0; I < P->Args.size(); ++I) {
+      std::optional<Value> V = fold(P->Args[I].get(), Lookup, Names);
+      if (!V)
+        return std::nullopt;
+      Args[I] = *V;
+    }
     std::optional<PrimKind> K = lookupPrim(Names.spelling(P->Name));
     if (!K)
       return std::nullopt;
-    std::vector<Value> Args;
-    for (const ExprPtr &AE : P->Args) {
-      std::optional<Value> V = fold(AE.get(), Lookup, Names);
-      if (!V)
-        return std::nullopt;
-      Args.push_back(*V);
-    }
     // Fold only operand shapes the machine would accept: Bits operands of
     // the width the primitive expects. A float or mixed-width operand
     // (reachable dynamically through an indirect call even though the
@@ -144,7 +150,7 @@ std::optional<Value> fold(const Expr *E, const LookupFn &Lookup,
     auto BitsOfWidth = [&](unsigned W) {
       return Args[0].isBits() && Args[0].Width == W;
     };
-    unsigned W = Args.empty() ? 32 : Args[0].Width;
+    unsigned W = P->Args.empty() ? 32 : Args[0].Width;
     switch (*K) {
     case PrimKind::DivU:
       if (!BitsSameWidth(W) || Args[1].Raw == 0)
@@ -202,71 +208,96 @@ std::optional<Value> fold(const Expr *E, const LookupFn &Lookup,
 //===----------------------------------------------------------------------===//
 
 /// Lattice cell per variable: Top (no information yet, optimistic), a known
-/// constant, or NAC (not a constant).
+/// constant, or NAC (not a constant). Constants are bits or float values
+/// (all that folding produces), kept as their bit pattern: a constant
+/// equals itself, and +0.0 and -0.0 are different constants. With that the
+/// cells form a lattice, and the solve's fixpoint does not depend on the
+/// order in which paths meet.
 struct Cell {
   enum class Kind : uint8_t { Top, Const, Nac };
   Kind K = Kind::Top;
-  Value V;
+  bool IsFloat = false;
+  uint8_t Width = 0;
+  uint64_t Bits = 0;
 
-  static Cell nac() { return {Kind::Nac, Value()}; }
-  static Cell constant(Value V) { return {Kind::Const, V}; }
+  static Cell nac() { return {Kind::Nac}; }
+  /// A variable holding NaN is never a constant, so uses of it are not
+  /// folded (the pass has never propagated NaN; tests/golden pins that).
+  static Cell constant(const Value &V) {
+    assert((V.isBits() || V.isFloat()) && "folding yields bits or floats");
+    if (V.isFloat())
+      return std::isnan(V.F)
+                 ? nac()
+                 : Cell{Kind::Const, true, V.Width,
+                        std::bit_cast<uint64_t>(V.F)};
+    return {Kind::Const, false, V.Width, V.Raw};
+  }
 
-  friend bool operator==(const Cell &A, const Cell &B) {
-    if (A.K != B.K)
-      return false;
-    return A.K != Kind::Const || A.V == B.V;
+  Value value() const {
+    return IsFloat ? Value::flt(Width, std::bit_cast<double>(Bits))
+                   : Value::bits(Width, Bits);
+  }
+  bool sameConstant(const Cell &O) const {
+    return IsFloat == O.IsFloat && Width == O.Width && Bits == O.Bits;
   }
 };
 
-Cell meet(const Cell &A, const Cell &B) {
-  if (A.K == Cell::Kind::Top)
-    return B;
-  if (B.K == Cell::Kind::Top)
-    return A;
-  if (A.K == Cell::Kind::Const && B.K == Cell::Kind::Const && A.V == B.V)
-    return A;
-  return Cell::nac();
+/// C = meet(C, O). Returns true when C changed.
+bool meetInto(Cell &C, const Cell &O) {
+  if (C.K == Cell::Kind::Nac || O.K == Cell::Kind::Top)
+    return false;
+  if (C.K == Cell::Kind::Top) {
+    C = O;
+    return true;
+  }
+  if (O.K == Cell::Kind::Const && C.sameConstant(O))
+    return false;
+  C = Cell::nac();
+  return true;
 }
 
-using State = std::vector<Cell>; // indexed by variable index in the universe
+/// One state: a cell per variable of the universe, a row of the solve's
+/// flat cell array.
+using State = Cell *;
 
 class ConstPropImpl {
 public:
   ConstPropImpl(IrProc &P, const IrProgram &Prog, bool WithExceptionalEdges)
-      : P(P), Prog(Prog), Names(*Prog.Names),
-        WithExceptional(WithExceptionalEdges),
+      : P(P), Names(*Prog.Names), WithExceptional(WithExceptionalEdges),
         U(LocUniverse::forProc(P, Prog)) {}
 
   ConstPropReport run();
 
 private:
-  std::optional<Value> lookupIn(const State &S, Symbol V) const {
+  std::optional<Value> lookupIn(const Cell *S, Symbol V) const {
     std::optional<unsigned> I = U.varIndex(V);
     if (!I || !U.isVar(*I))
       return std::nullopt;
     if (S[*I].K != Cell::Kind::Const)
       return std::nullopt;
-    return S[*I].V;
+    return S[*I].value();
   }
 
   /// Applies \p N's effect to \p S (variables only; A and M are not
-  /// tracked). \p EdgeIsCut marks transfer along a cut edge.
-  void transfer(const Node *N, State &S) const;
-  void clobberOnEdge(const Node *N, EdgeKind Kind, State &S) const;
+  /// tracked).
+  void transfer(const Node *N, State S) const;
+  /// Applies call \p N's kills along one outgoing edge of kind \p Kind.
+  void clobberOnEdge(const Node *N, EdgeKind Kind, State S) const;
 
-  const Expr *rewriteExpr(const Expr *E, const State &S, bool &Changed);
+  const Expr *rewriteExpr(const Expr *E, const Cell *S);
   const Expr *makeLiteral(const Value &V, SourceLoc Loc);
 
   IrProc &P;
-  const IrProgram &Prog;
   const Interner &Names;
   bool WithExceptional;
   LocUniverse U;
-  std::vector<BitVector> MaySigma;
+  FlowGraph G;
+  BitMatrix MaySigma;
+  ForwardStates<Cell> States;
   ConstPropReport Report;
 };
 
-void ConstPropImpl::transfer(const Node *N, State &S) const {
+void ConstPropImpl::transfer(const Node *N, State S) const {
   switch (N->kind()) {
   case Node::Kind::Entry:
     // Continuation values are per-activation, never compile-time constants.
@@ -299,15 +330,13 @@ void ConstPropImpl::transfer(const Node *N, State &S) const {
 }
 
 void ConstPropImpl::clobberOnEdge(const Node *N, EdgeKind Kind,
-                                  State &S) const {
-  if (!isa<CallNode>(N))
-    return;
+                                  State S) const {
   // A call may assign any global register.
   for (unsigned I = 0; I < U.numVars(); ++I)
-    if (!P.VarTypes.count(U.varAt(I)))
+    if (U.isGlobalVar(I))
       S[I] = Cell::nac();
   // Along a cut edge, values in callee-saves registers are destroyed.
-  if (Kind == EdgeKind::Cut && N->Id < MaySigma.size())
+  if (Kind == EdgeKind::Cut && N->Id < MaySigma.rows())
     MaySigma[N->Id].forEach([&](size_t I) {
       if (U.isVar(static_cast<unsigned>(I)))
         S[I] = Cell::nac();
@@ -329,8 +358,7 @@ const Expr *ConstPropImpl::makeLiteral(const Value &V, SourceLoc Loc) {
   return Raw;
 }
 
-const Expr *ConstPropImpl::rewriteExpr(const Expr *E, const State &S,
-                                       bool &Changed) {
+const Expr *ConstPropImpl::rewriteExpr(const Expr *E, const Cell *S) {
   if (isa<IntLitExpr>(E) || isa<FloatLitExpr>(E))
     return E;
   auto Lookup = [&](Symbol V) { return lookupIn(S, V); };
@@ -338,7 +366,6 @@ const Expr *ConstPropImpl::rewriteExpr(const Expr *E, const State &S,
     // Fold only bits/float results; code and continuation values must stay
     // symbolic.
     if (V->isBits() || V->isFloat()) {
-      Changed = true;
       ++Report.ExprsRewritten;
       return makeLiteral(*V, E->loc());
     }
@@ -347,74 +374,43 @@ const Expr *ConstPropImpl::rewriteExpr(const Expr *E, const State &S,
 }
 
 ConstPropReport ConstPropImpl::run() {
-  MaySigma = computeMaySigma(P, U);
-  std::vector<Node *> Order = reachableNodes(P);
+  G.build(P);
+  computeMaySigma(G, U, MaySigma);
 
-  std::vector<State> In(P.Nodes.size(), State(U.numVars()));
-  std::vector<bool> Reached(P.Nodes.size(), false);
-  Reached[P.EntryPoint->Id] = true;
   // Parameters and globals are unknown at entry.
-  for (Cell &C : In[P.EntryPoint->Id])
-    C = Cell::nac();
-
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (Node *N : Order) {
-      if (!Reached[N->Id])
-        continue;
-      State OutBase = In[N->Id];
-      transfer(N, OutBase);
-      forEachSucc(
-          *N,
-          [&](Node *SNode, EdgeKind Kind) {
-            State Out = OutBase;
-            clobberOnEdge(N, Kind, Out);
-            if (!Reached[SNode->Id]) {
-              Reached[SNode->Id] = true;
-              In[SNode->Id] = Out;
-              Changed = true;
-              return;
-            }
-            for (size_t I = 0; I < Out.size(); ++I) {
-              Cell M = meet(In[SNode->Id][I], Out[I]);
-              if (!(M == In[SNode->Id][I])) {
-                In[SNode->Id][I] = M;
-                Changed = true;
-              }
-            }
-          },
-          WithExceptional);
-    }
-  }
+  States.solve(
+      G, P, U.numVars(), Cell::nac(), WithExceptional,
+      [&](const Node *N, State S) { transfer(N, S); },
+      [&](const Node *N, EdgeKind Kind, State S) { clobberOnEdge(N, Kind, S); },
+      meetInto);
 
   // Rewrite expressions with the solved facts.
-  bool Dummy = false;
-  for (Node *N : Order) {
-    if (!Reached[N->Id])
+  for (unsigned Pos = 0; Pos < G.size(); ++Pos) {
+    if (!States.reached(Pos))
       continue;
-    const State &S = In[N->Id];
+    Node *N = G.node(Pos);
+    const Cell *S = States.in(Pos);
     switch (N->kind()) {
     case Node::Kind::Assign: {
       auto *A = cast<AssignNode>(N);
-      A->Value = rewriteExpr(A->Value, S, Dummy);
+      A->Value = rewriteExpr(A->Value, S);
       break;
     }
     case Node::Kind::Store: {
       auto *St = cast<StoreNode>(N);
-      St->Addr = rewriteExpr(St->Addr, S, Dummy);
-      St->Value = rewriteExpr(St->Value, S, Dummy);
+      St->Addr = rewriteExpr(St->Addr, S);
+      St->Value = rewriteExpr(St->Value, S);
       break;
     }
     case Node::Kind::CopyOut: {
       auto *C = cast<CopyOutNode>(N);
       for (const Expr *&E : C->Exprs)
-        E = rewriteExpr(E, S, Dummy);
+        E = rewriteExpr(E, S);
       break;
     }
     case Node::Kind::Branch: {
       auto *B = cast<BranchNode>(N);
-      B->Cond = rewriteExpr(B->Cond, S, Dummy);
+      B->Cond = rewriteExpr(B->Cond, S);
       if (const auto *Lit = dyn_cast<IntLitExpr>(B->Cond)) {
         Node *Taken = Lit->Value != 0 ? B->TrueDst : B->FalseDst;
         if (B->TrueDst != B->FalseDst) {

@@ -17,48 +17,52 @@ namespace {
 constexpr unsigned TopVal = ~0u;
 constexpr unsigned NoCopy = ~0u - 1;
 
-using State = std::vector<unsigned>;
+/// One state: a cell per variable of the universe, a row of the solve's
+/// flat cell array.
+using State = unsigned *;
 
-unsigned meetCell(unsigned A, unsigned B) {
-  if (A == TopVal)
-    return B;
-  if (B == TopVal)
-    return A;
-  return A == B ? A : NoCopy;
+/// C = meet(C, O). Returns true when C changed.
+bool meetInto(unsigned &C, unsigned O) {
+  if (O == TopVal || C == O || C == NoCopy)
+    return false;
+  C = C == TopVal ? O : NoCopy;
+  return true;
 }
 
 class CopyPropImpl {
 public:
   CopyPropImpl(IrProc &P, const IrProgram &Prog, bool WithExceptionalEdges)
-      : P(P), Prog(Prog), WithExceptional(WithExceptionalEdges),
+      : P(P), WithExceptional(WithExceptionalEdges),
         U(LocUniverse::forProc(P, Prog)) {}
 
   CopyPropReport run();
 
 private:
   /// Removes every copy fact involving \p V, as source or destination.
-  static void killVar(State &S, unsigned V) {
+  void killVar(State S, unsigned V) const {
     S[V] = NoCopy;
-    for (unsigned &Cell : S)
-      if (Cell == V)
-        Cell = NoCopy;
+    for (unsigned I = 0; I < U.numVars(); ++I)
+      if (S[I] == V)
+        S[I] = NoCopy;
   }
 
-  void transfer(const Node *N, State &S) const;
-  void clobberOnEdge(const Node *N, EdgeKind Kind, State &S) const;
+  void transfer(const Node *N, State S) const;
+  /// Applies call \p N's kills along one outgoing edge of kind \p Kind.
+  void clobberOnEdge(const Node *N, EdgeKind Kind, State S) const;
 
   /// Clones \p E with every propagatable variable use replaced.
-  const Expr *rewriteExpr(const Expr *E, const State &S);
+  const Expr *rewriteExpr(const Expr *E, const unsigned *S);
 
   IrProc &P;
-  const IrProgram &Prog;
   bool WithExceptional;
   LocUniverse U;
-  std::vector<BitVector> MaySigma;
+  FlowGraph G;
+  BitMatrix MaySigma;
+  ForwardStates<unsigned> States;
   CopyPropReport Report;
 };
 
-void CopyPropImpl::transfer(const Node *N, State &S) const {
+void CopyPropImpl::transfer(const Node *N, State S) const {
   switch (N->kind()) {
   case Node::Kind::Entry:
     for (const auto &[Name, Target] : cast<EntryNode>(N)->Conts) {
@@ -94,21 +98,19 @@ void CopyPropImpl::transfer(const Node *N, State &S) const {
 }
 
 void CopyPropImpl::clobberOnEdge(const Node *N, EdgeKind Kind,
-                                 State &S) const {
-  if (!isa<CallNode>(N))
-    return;
+                                 State S) const {
   // The callee may assign any global register: kill copies touching them.
   for (unsigned I = 0; I < U.numVars(); ++I)
     if (U.isGlobalVar(I))
       killVar(S, I);
-  if (Kind == EdgeKind::Cut && N->Id < MaySigma.size())
+  if (Kind == EdgeKind::Cut && N->Id < MaySigma.rows())
     MaySigma[N->Id].forEach([&](size_t I) {
       if (U.isVar(static_cast<unsigned>(I)))
         killVar(S, static_cast<unsigned>(I));
     });
 }
 
-const Expr *CopyPropImpl::rewriteExpr(const Expr *E, const State &S) {
+const Expr *CopyPropImpl::rewriteExpr(const Expr *E, const unsigned *S) {
   switch (E->kind()) {
   case Expr::Kind::Name: {
     const auto *N = cast<NameExpr>(E);
@@ -117,10 +119,9 @@ const Expr *CopyPropImpl::rewriteExpr(const Expr *E, const State &S) {
     std::optional<unsigned> I = U.varIndex(N->Name);
     if (!I || S[*I] == NoCopy || S[*I] == TopVal || !U.isVar(S[*I]))
       return E;
-    Symbol Src = U.varAt(S[*I]);
-    auto New = std::make_unique<NameExpr>(N->loc(), Src);
+    auto New = std::make_unique<NameExpr>(N->loc(), U.varAt(S[*I]));
     New->Ty = N->Ty;
-    New->Ref = P.VarTypes.count(Src) ? RefKind::Local : RefKind::Global;
+    New->Ref = U.isGlobalVar(S[*I]) ? RefKind::Global : RefKind::Local;
     const Expr *Raw = New.get();
     P.ExprPool.push_back(std::move(New));
     ++Report.UsesRewritten;
@@ -136,53 +137,23 @@ const Expr *CopyPropImpl::rewriteExpr(const Expr *E, const State &S) {
 }
 
 CopyPropReport CopyPropImpl::run() {
-  MaySigma = computeMaySigma(P, U);
-  std::vector<Node *> Order = reachableNodes(P);
+  G.build(P);
+  computeMaySigma(G, U, MaySigma);
 
-  std::vector<State> In(P.Nodes.size(), State(U.numVars(), TopVal));
-  std::vector<bool> Reached(P.Nodes.size(), false);
-  Reached[P.EntryPoint->Id] = true;
-  for (unsigned &Cell : In[P.EntryPoint->Id])
-    Cell = NoCopy;
-
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (Node *N : Order) {
-      if (!Reached[N->Id])
-        continue;
-      State OutBase = In[N->Id];
-      transfer(N, OutBase);
-      forEachSucc(
-          *N,
-          [&](Node *SNode, EdgeKind Kind) {
-            State Out = OutBase;
-            clobberOnEdge(N, Kind, Out);
-            if (!Reached[SNode->Id]) {
-              Reached[SNode->Id] = true;
-              In[SNode->Id] = Out;
-              Changed = true;
-              return;
-            }
-            for (size_t I = 0; I < Out.size(); ++I) {
-              unsigned M = meetCell(In[SNode->Id][I], Out[I]);
-              if (M != In[SNode->Id][I]) {
-                In[SNode->Id][I] = M;
-                Changed = true;
-              }
-            }
-          },
-          WithExceptional);
-    }
-  }
+  States.solve(
+      G, P, U.numVars(), NoCopy, WithExceptional,
+      [&](const Node *N, State S) { transfer(N, S); },
+      [&](const Node *N, EdgeKind Kind, State S) { clobberOnEdge(N, Kind, S); },
+      meetInto);
 
   // Rewrite top-level variable uses. Only whole-expression Name uses and
   // direct children that are Names are rewritten; nested occurrences are
   // picked up by iterating the pass (the pipeline runs multiple rounds).
-  for (Node *N : Order) {
-    if (!Reached[N->Id])
+  for (unsigned Pos = 0; Pos < G.size(); ++Pos) {
+    if (!States.reached(Pos))
       continue;
-    const State &S = In[N->Id];
+    Node *N = G.node(Pos);
+    const unsigned *S = States.in(Pos);
     auto Rw = [&](const Expr *&Slot) { Slot = rewriteExpr(Slot, S); };
     switch (N->kind()) {
     case Node::Kind::Assign:

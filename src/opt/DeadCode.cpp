@@ -14,12 +14,17 @@ DeadCodeReport cmm::eliminateDeadCode(IrProc &P, const IrProgram &Prog,
   if (P.isYieldIntrinsic())
     return Report;
 
+  // Removing an assignment only unlinks it: it stays in P.Nodes, which is
+  // all forProc reads, so one universe serves every sweep.
+  LocUniverse U = LocUniverse::forProc(P, Prog);
+  FlowGraph G;
+  Liveness L;
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    LocUniverse U = LocUniverse::forProc(P, Prog);
-    Liveness L = computeLiveness(P, U, WithExceptionalEdges);
-    for (Node *N : reachableNodes(P)) {
+    G.build(P, /*WithPreds=*/true, WithExceptionalEdges);
+    computeLiveness(G, U, WithExceptionalEdges, L);
+    for (Node *N : G.order()) {
       auto *A = dyn_cast<AssignNode>(N);
       if (!A)
         continue;

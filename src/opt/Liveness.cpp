@@ -8,58 +8,52 @@
 
 using namespace cmm;
 
+void cmm::computeLiveness(FlowGraph &G, const LocUniverse &U,
+                          bool WithExceptionalEdges, Liveness &L) {
+  L.LiveIn.reset(G.numIds(), U.size());
+  L.LiveOut.reset(G.numIds(), U.size());
+  L.Use.reset(G.numIds(), U.size());
+  L.Def.reset(G.numIds(), U.size());
+  for (Node *N : G.order())
+    computeFacts(*N, U, L.Use[N->Id], L.Def[N->Id]);
+
+  BitVector In(U.size());
+  G.startSolve(/*Backward=*/true, /*AllPending=*/true);
+  unsigned Pos;
+  while (G.pop(Pos)) {
+    Node *N = G.node(Pos);
+    BitRow Out = L.LiveOut[N->Id];
+    Out.clear();
+    forEachSucc(
+        *N, [&](Node *S, EdgeKind) { Out.unionWith(L.LiveIn[S->Id]); },
+        WithExceptionalEdges);
+    // Every outgoing edge of a call redefines the whole argument-passing
+    // area (results or continuation parameters).
+    if (isa<CallNode>(N))
+      Out.subtract(U.args());
+    In.assign(Out);
+    In.subtract(L.Def[N->Id]);
+    In.unionWith(L.Use[N->Id]);
+    if (In == L.LiveIn[N->Id])
+      continue;
+    L.LiveIn[N->Id].assign(In);
+    for (const unsigned *P = G.predsBegin(Pos); P != G.predsEnd(Pos); ++P)
+      G.push(*P);
+  }
+}
+
 Liveness cmm::computeLiveness(const IrProc &P, const LocUniverse &U,
                               bool WithExceptionalEdges) {
+  FlowGraph G;
+  G.build(P, /*WithPreds=*/true, WithExceptionalEdges);
   Liveness L;
-  L.LiveIn.assign(P.Nodes.size(), BitVector(U.size()));
-  L.LiveOut.assign(P.Nodes.size(), BitVector(U.size()));
-
-  std::vector<Node *> Order = reachableNodes(P);
-  std::vector<NodeFacts> Facts(P.Nodes.size());
-  for (Node *N : Order)
-    Facts[N->Id] = computeFacts(*N, U);
-
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    // Backward problem: visit in reverse DFS order.
-    for (auto It = Order.rbegin(); It != Order.rend(); ++It) {
-      Node *N = *It;
-      BitVector Out(U.size());
-      bool IsCall = isa<CallNode>(N);
-      forEachSucc(
-          *N,
-          [&](Node *S, EdgeKind) {
-            BitVector Contribution = L.LiveIn[S->Id];
-            if (IsCall) {
-              // Every outgoing edge of a call redefines the whole
-              // argument-passing area (results or continuation parameters).
-              for (unsigned I = 0; I < U.maxArgs(); ++I)
-                Contribution.reset(U.argIndex(I));
-            }
-            Out.unionWith(Contribution);
-          },
-          WithExceptionalEdges);
-      if (!(Out == L.LiveOut[N->Id])) {
-        L.LiveOut[N->Id] = Out;
-        Changed = true;
-      }
-      BitVector In = Out;
-      In.subtract(Facts[N->Id].Def);
-      In.unionWith(Facts[N->Id].Use);
-      if (!(In == L.LiveIn[N->Id])) {
-        L.LiveIn[N->Id] = In;
-        Changed = true;
-      }
-    }
-  }
+  computeLiveness(G, U, WithExceptionalEdges, L);
   return L;
 }
 
 BitVector cmm::liveIntoContinuation(const Liveness &L, const LocUniverse &U,
                                     const Node *Target) {
   BitVector Live = L.LiveIn[Target->Id];
-  for (unsigned I = 0; I < U.maxArgs(); ++I)
-    Live.reset(U.argIndex(I));
+  Live.subtract(U.args());
   return Live;
 }

@@ -28,64 +28,97 @@ const char *cmm::passName(PassId Id) {
   return "?";
 }
 
-uint64_t cmm::countAlsoEdges(const IrProc &P) {
-  uint64_t Edges = 0;
-  if (!P.EntryPoint || P.isYieldIntrinsic())
-    return 0;
-  for (const Node *N : reachableNodes(P))
+namespace {
+
+/// The IR size a pass delta is measured in: reachable nodes, and the
+/// `also`-annotation edges among them.
+struct IrSize {
+  uint64_t Nodes = 0, AlsoEdges = 0;
+};
+
+/// One walk of the reachable graph, reusing \p Walk's storage.
+IrSize measureIr(const IrProc &P, ReachScratch &Walk) {
+  reachableNodes(P, Walk);
+  IrSize Size;
+  Size.Nodes = Walk.Order.size();
+  for (const Node *N : Walk.Order)
     forEachSucc(*N, [&](Node *, EdgeKind K) {
       if (isExceptionalEdge(K))
-        ++Edges;
+        ++Size.AlsoEdges;
     });
-  return Edges;
+  return Size;
+}
+
+} // namespace
+
+uint64_t cmm::countAlsoEdges(const IrProc &P) {
+  if (!P.EntryPoint || P.isYieldIntrinsic())
+    return 0;
+  ReachScratch Walk;
+  return measureIr(P, Walk).AlsoEdges;
 }
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Times one pass execution over one procedure and records the IR delta.
-/// \p Run returns the pass's own change count.
-template <typename Fn>
-void instrumented(OptReport &R, PassId Id, IrProc &P, const IrProgram &Prog,
-                  const OptOptions &Opts, Fn Run) {
-  uint64_t NodesBefore = reachableNodes(P).size();
-  uint64_t EdgesBefore = countAlsoEdges(P);
-  Clock::time_point T0 = Clock::now();
-  uint64_t Changes = Run();
-  double Ms = std::chrono::duration<double, std::milli>(Clock::now() - T0)
-                  .count();
-  uint64_t NodesAfter = reachableNodes(P).size();
-  uint64_t EdgesAfter = countAlsoEdges(P);
+/// Runs passes over one procedure, timing each one and recording its IR
+/// delta. Nothing but a pass changes the IR, so the size after one pass is
+/// the size before the next: each pass costs one walk of the graph.
+class PassRunner {
+public:
+  PassRunner(OptReport &R, IrProc &P, const IrProgram &Prog,
+             const OptOptions &Opts, ReachScratch &Walk)
+      : R(R), P(P), Prog(Prog), Opts(Opts), Walk(Walk),
+        Size(measureIr(P, Walk)) {}
 
-  PassStat &S = R.pass(Id);
-  ++S.Runs;
-  S.Millis += Ms;
-  S.Changes += Changes;
-  S.NodesDelta +=
-      static_cast<int64_t>(NodesAfter) - static_cast<int64_t>(NodesBefore);
-  S.AlsoEdgesDelta +=
-      static_cast<int64_t>(EdgesAfter) - static_cast<int64_t>(EdgesBefore);
-  R.TotalMillis += Ms;
+  /// Runs one pass; \p Run returns the pass's own change count.
+  template <typename Fn> void run(PassId Id, Fn Run) {
+    IrSize Before = Size;
+    Clock::time_point T0 = Clock::now();
+    uint64_t Changes = Run();
+    double Ms = std::chrono::duration<double, std::milli>(Clock::now() - T0)
+                    .count();
+    Size = measureIr(P, Walk);
 
-  if (Opts.Verbose)
-    std::fprintf(stderr,
-                 "[opt] %-11s %-20s %8.3f ms  changes=%-6llu "
-                 "nodes=%llu->%llu also-edges=%llu->%llu\n",
-                 passName(Id), Prog.Names->spelling(P.Name).c_str(), Ms,
-                 (unsigned long long)Changes, (unsigned long long)NodesBefore,
-                 (unsigned long long)NodesAfter,
-                 (unsigned long long)EdgesBefore,
-                 (unsigned long long)EdgesAfter);
+    PassStat &S = R.pass(Id);
+    ++S.Runs;
+    S.Millis += Ms;
+    S.Changes += Changes;
+    S.NodesDelta +=
+        static_cast<int64_t>(Size.Nodes) - static_cast<int64_t>(Before.Nodes);
+    S.AlsoEdgesDelta += static_cast<int64_t>(Size.AlsoEdges) -
+                        static_cast<int64_t>(Before.AlsoEdges);
+    R.TotalMillis += Ms;
 
-  if (Opts.ValidateEachPass) {
-    DiagnosticEngine VDiags;
-    if (!validateProc(P, *Prog.Names, VDiags))
-      R.ValidationErrors.push_back(std::string(passName(Id)) + " broke " +
-                                   Prog.Names->spelling(P.Name) + ": " +
-                                   VDiags.str());
+    if (Opts.Verbose)
+      std::fprintf(stderr,
+                   "[opt] %-11s %-20s %8.3f ms  changes=%-6llu "
+                   "nodes=%llu->%llu also-edges=%llu->%llu\n",
+                   passName(Id), Prog.Names->spelling(P.Name).c_str(), Ms,
+                   (unsigned long long)Changes,
+                   (unsigned long long)Before.Nodes,
+                   (unsigned long long)Size.Nodes,
+                   (unsigned long long)Before.AlsoEdges,
+                   (unsigned long long)Size.AlsoEdges);
+
+    if (Opts.ValidateEachPass) {
+      DiagnosticEngine VDiags;
+      if (!validateProc(P, *Prog.Names, VDiags))
+        R.ValidationErrors.push_back(std::string(passName(Id)) + " broke " +
+                                     Prog.Names->spelling(P.Name) + ": " +
+                                     VDiags.str());
+    }
   }
-}
+
+private:
+  OptReport &R;
+  IrProc &P;
+  const IrProgram &Prog;
+  const OptOptions &Opts;
+  ReachScratch &Walk;
+  IrSize Size;
+};
 
 } // namespace
 
@@ -112,15 +145,18 @@ std::string cmm::optReportText(const OptReport &R) {
   return Out;
 }
 
-OptReport cmm::optimizeProc(IrProc &P, const IrProgram &Prog,
-                            const OptOptions &Opts) {
+namespace {
+
+OptReport optimizeProcWith(IrProc &P, const IrProgram &Prog,
+                           const OptOptions &Opts, ReachScratch &Walk) {
   OptReport R;
   if (P.isYieldIntrinsic())
     return R;
+  PassRunner Passes(R, P, Prog, Opts, Walk);
   for (unsigned Round = 0; Round < Opts.Rounds; ++Round) {
     ConstPropReport CP;
     if (Opts.RunConstProp) {
-      instrumented(R, PassId::ConstProp, P, Prog, Opts, [&] {
+      Passes.run(PassId::ConstProp, [&] {
         CP = propagateConstants(P, Prog, Opts.WithExceptionalEdges);
         return uint64_t(CP.ExprsRewritten) + CP.BranchesResolved;
       });
@@ -130,7 +166,7 @@ OptReport cmm::optimizeProc(IrProc &P, const IrProgram &Prog,
 
     CopyPropReport CopyP;
     if (Opts.RunCopyProp) {
-      instrumented(R, PassId::CopyProp, P, Prog, Opts, [&] {
+      Passes.run(PassId::CopyProp, [&] {
         CopyP = propagateCopies(P, Prog, Opts.WithExceptionalEdges);
         return uint64_t(CopyP.UsesRewritten);
       });
@@ -139,7 +175,7 @@ OptReport cmm::optimizeProc(IrProc &P, const IrProgram &Prog,
 
     DeadCodeReport DC;
     if (Opts.RunDeadCode) {
-      instrumented(R, PassId::DeadCode, P, Prog, Opts, [&] {
+      Passes.run(PassId::DeadCode, [&] {
         DC = eliminateDeadCode(P, Prog, Opts.WithExceptionalEdges);
         return uint64_t(DC.AssignsRemoved);
       });
@@ -153,9 +189,7 @@ OptReport cmm::optimizeProc(IrProc &P, const IrProgram &Prog,
   if (Opts.PlaceCalleeSaves) {
     CalleeSavesOptions CS = Opts.CalleeSaves;
     CS.RespectCutEdges = CS.RespectCutEdges && Opts.WithExceptionalEdges;
-    if (!Opts.WithExceptionalEdges)
-      CS.RespectCutEdges = false;
-    instrumented(R, PassId::CalleeSaves, P, Prog, Opts, [&] {
+    Passes.run(PassId::CalleeSaves, [&] {
       R.CalleeSaves = placeCalleeSaves(P, Prog, CS);
       return uint64_t(R.CalleeSaves.VarsPlaced);
     });
@@ -163,10 +197,19 @@ OptReport cmm::optimizeProc(IrProc &P, const IrProgram &Prog,
   return R;
 }
 
+} // namespace
+
+OptReport cmm::optimizeProc(IrProc &P, const IrProgram &Prog,
+                            const OptOptions &Opts) {
+  ReachScratch Walk;
+  return optimizeProcWith(P, Prog, Opts, Walk);
+}
+
 OptReport cmm::optimizeProgram(IrProgram &Prog, const OptOptions &Opts) {
   OptReport Total;
+  ReachScratch Walk;
   for (const std::unique_ptr<IrProc> &P : Prog.Procs) {
-    OptReport R = optimizeProc(*P, Prog, Opts);
+    OptReport R = optimizeProcWith(*P, Prog, Opts, Walk);
     Total.ConstProp.ExprsRewritten += R.ConstProp.ExprsRewritten;
     Total.ConstProp.BranchesResolved += R.ConstProp.BranchesResolved;
     Total.CopyProp.UsesRewritten += R.CopyProp.UsesRewritten;

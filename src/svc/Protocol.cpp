@@ -36,6 +36,8 @@ std::string_view cmm::svc::errCodeName(ErrCode C) {
     return "session-busy";
   case ErrCode::ShuttingDown:
     return "shutting-down";
+  case ErrCode::SessionExpired:
+    return "session-expired";
   case ErrCode::Internal:
     break;
   }
@@ -344,7 +346,7 @@ void cmm::svc::encodeError(ByteWriter &W, const ErrorMsg &M) {
 bool cmm::svc::decodeError(ByteReader &R, ErrorMsg &M) {
   M.ReqId = R.u64();
   uint8_t C = R.u8();
-  if (C < uint8_t(ErrCode::BadFrame) || C > uint8_t(ErrCode::Internal)) {
+  if (C < uint8_t(ErrCode::BadFrame) || C > uint8_t(ErrCode::SessionExpired)) {
     R.fail();
     return false;
   }

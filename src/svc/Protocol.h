@@ -90,6 +90,7 @@ enum class ErrCode : uint8_t {
   SessionBusy = 6,   ///< session is being driven by another request
   ShuttingDown = 7,  ///< server is draining; no new work accepted
   Internal = 8,
+  SessionExpired = 9, ///< the TTL reaper discarded the idle session
 };
 
 std::string_view errCodeName(ErrCode C);

@@ -12,6 +12,7 @@
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -615,11 +616,23 @@ bool Server::handleFrame(const std::shared_ptr<Conn> &C, MsgType T,
       return true;
     }
     std::shared_ptr<SessionEntry> E;
+    std::optional<uint64_t> ExpiredIdle;
     {
       std::lock_guard<std::mutex> L(SessMu);
       auto It = Sessions.find(M.SessionId);
       if (It != Sessions.end() && It->second->TenantName == M.Tenant)
         E = It->second;
+      auto Gone = Expired.find(M.SessionId);
+      if (!E && Gone != Expired.end() && Gone->second.TenantName == M.Tenant)
+        ExpiredIdle = Gone->second.IdleMicros;
+    }
+    if (ExpiredIdle) {
+      sendError(C, M.ReqId, ErrCode::SessionExpired,
+                "session expired after " +
+                    std::to_string(*ExpiredIdle / 1000) + " ms idle (ttl " +
+                    std::to_string(uint64_t(Opts.SessionTtlMillis)) +
+                    " ms)");
+      return true;
     }
     if (!E) {
       sendError(C, M.ReqId, ErrCode::NoSuchSession, "no such session");
@@ -872,10 +885,17 @@ void Server::reaperLoop() {
     // with teardown would race that sweep.
     if (Closed.load() || Stopping.load())
       return;
-    uint64_t Now = steadyMicros();
-    std::vector<std::pair<uint64_t, std::shared_ptr<SessionEntry>>> Victims;
+    struct Victim {
+      uint64_t Id;
+      std::shared_ptr<SessionEntry> E;
+      uint64_t IdleMicros;
+    };
+    std::vector<Victim> Victims;
     {
       std::lock_guard<std::mutex> L(SessMu);
+      // Sampled under the lock: every session parked before this point is
+      // in the table with an earlier stamp.
+      uint64_t Now = steadyMicros();
       for (auto &[Id, E] : Sessions) {
         if (!sessionIdleExpired(Now, E->LastUsedMicros.load(), TtlMicros))
           continue;
@@ -884,14 +904,27 @@ void Server::reaperLoop() {
         // Re-check after claiming: a resume may have refreshed the
         // timestamp and released Busy between our read and the claim —
         // expiring it then would discard a session the tenant just used.
-        if (!sessionIdleExpired(Now, E->LastUsedMicros.load(), TtlMicros)) {
+        uint64_t LastUsed = E->LastUsedMicros.load();
+        if (!sessionIdleExpired(Now, LastUsed, TtlMicros)) {
           E->Busy.store(false);
           continue;
         }
-        Victims.emplace_back(Id, E);
+        Victims.push_back({Id, E, Now - LastUsed});
       }
     }
-    for (auto &[Id, E] : Victims)
-      closeSession(Id, E, SM->SessionsExpired);
+    for (Victim &V : Victims) {
+      // Tombstone first: a resume that no longer finds the session then
+      // always finds why.
+      {
+        std::lock_guard<std::mutex> L(SessMu);
+        Expired[V.Id] = {V.E->TenantName, V.IdleMicros};
+        ExpiredOrder.push_back(V.Id);
+        while (ExpiredOrder.size() > Opts.Quota.MaxSessions) {
+          Expired.erase(ExpiredOrder.front());
+          ExpiredOrder.pop_front();
+        }
+      }
+      closeSession(V.Id, V.E, SM->SessionsExpired);
+    }
   }
 }

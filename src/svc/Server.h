@@ -50,6 +50,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -65,9 +66,10 @@ namespace cmm::svc {
 
 /// The reaper's expiry test: true when a session last used at
 /// \p LastUsedMicros has been idle at least \p TtlMicros by the sweep's
-/// clock \p NowMicros. The sweep samples its clock before it walks the
-/// session table, so a session used in between carries a stamp later than
-/// \p NowMicros; it has not been idle at all.
+/// clock \p NowMicros. The sweep samples its clock under the session-table
+/// lock, but a resume stamps its session on release without that lock, so
+/// a stamp can still be later than \p NowMicros; such a session has not
+/// been idle at all.
 inline bool sessionIdleExpired(uint64_t NowMicros, uint64_t LastUsedMicros,
                                uint64_t TtlMicros) {
   return LastUsedMicros <= NowMicros && NowMicros - LastUsedMicros >= TtlMicros;
@@ -232,6 +234,15 @@ private:
 
   mutable std::mutex SessMu;
   std::map<uint64_t, std::shared_ptr<SessionEntry>> Sessions;
+  /// Sessions the reaper discarded, so a late resume learns why its
+  /// session is gone: id -> owner and idle age. A FIFO bounded by the
+  /// parked-session quota (Quota.MaxSessions). Guarded by SessMu.
+  struct Tombstone {
+    std::string TenantName;
+    uint64_t IdleMicros = 0;
+  };
+  std::map<uint64_t, Tombstone> Expired;
+  std::deque<uint64_t> ExpiredOrder;
 
   std::mutex TenantMu;
   std::map<std::string, std::shared_ptr<Tenant>> Tenants;

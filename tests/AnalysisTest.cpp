@@ -256,7 +256,7 @@ f(bits32 a) {
   CS->Next = Call;
 
   LocUniverse U2 = LocUniverse::forProc(*T.P, *T.Prog);
-  std::vector<BitVector> Sigma = computeMaySigma(*T.P, U2);
+  BitMatrix Sigma = computeMaySigma(*T.P, U2);
   std::optional<unsigned> Y = U2.varIndex(T.Prog->Names->lookup("y"));
   ASSERT_TRUE(Y.has_value());
   EXPECT_FALSE(Sigma[CS->Id].test(*Y));  // before the node: not yet saved

@@ -98,6 +98,34 @@ main(bits32 x) {
   EXPECT_EQ(runToHalt(M2, "main", {b32(0)})[0], b32(20));
 }
 
+// 0.0 and -0.0 compare equal but are different constants: 1.0 / x tells
+// them apart, so a join of the two must not be folded as either one.
+TEST(ConstProp, SignedZerosAreDifferentConstantsAtAJoin) {
+  const char *Src = R"(
+export main;
+main(bits32 n) {
+  float64 x, y;
+  if n == 0 {
+    x = 0.0;
+  } else {
+    x = -0.0;
+  }
+  y = 1.0 / x;
+  if %flt(y, 0.0) {
+    return (1);
+  }
+  return (0);
+}
+)";
+  auto Prog = compile({Src});
+  ASSERT_TRUE(Prog);
+  optimizeProgram(*Prog);
+  Machine M(*Prog);
+  EXPECT_EQ(runToHalt(M, "main", {b32(0)})[0], b32(0)); // 1/0.0 = +inf
+  Machine M2(*Prog);
+  EXPECT_EQ(runToHalt(M2, "main", {b32(1)})[0], b32(1)); // 1/-0.0 = -inf
+}
+
 TEST(DeadCode, RemovesDeadAssignsButKeepsFailingExprs) {
   const char *Src = R"(
 export main;

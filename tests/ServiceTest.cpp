@@ -471,7 +471,43 @@ TEST(ServiceSession, IdleSessionsExpireAfterTtl) {
   Res.Dispatcher = uint8_t(DispatcherKind::Unwind);
   svc::ErrorMsg E;
   EXPECT_FALSE(C->resume(std::move(Res), &E).has_value());
-  EXPECT_EQ(E.Code, svc::ErrCode::NoSuchSession);
+  EXPECT_EQ(E.Code, svc::ErrCode::SessionExpired)
+      << "got " << svc::errCodeName(E.Code) << ": " << E.Message;
+  EXPECT_NE(E.Message.find("ms idle"), std::string::npos) << E.Message;
+}
+
+TEST(ServiceSession, ExpiredSessionsStayTenantScopedAndBounded) {
+  svc::ServerOptions O;
+  O.SessionTtlMillis = 30;
+  O.Quota.MaxSessions = 2; // also the tombstone table's capacity
+  ServiceHarness H(std::move(O));
+  auto C = H.client();
+  ASSERT_TRUE(C);
+  auto ResumeCode = [&](const char *Tenant, uint64_t Sid) {
+    svc::ResumeRequestMsg Res;
+    Res.Tenant = Tenant;
+    Res.SessionId = Sid;
+    Res.Op = svc::ResumeOp::Dispatch;
+    Res.Dispatcher = uint8_t(DispatcherKind::Unwind);
+    svc::ErrorMsg E;
+    EXPECT_FALSE(C->resume(std::move(Res), &E).has_value());
+    return E.Code;
+  };
+  // Three sessions expire one after another; only the last two fit.
+  std::vector<uint64_t> Sids;
+  for (int K = 0; K < 3; ++K) {
+    Sids.push_back(parkSweep(*C));
+    ASSERT_NE(Sids.back(), 0u);
+    for (int I = 0; I < 200 && H.server().sessionsOpen() > 0; ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(H.server().sessionsOpen(), 0) << "TTL reaper never fired";
+  }
+  EXPECT_EQ(ResumeCode("t", Sids[0]), svc::ErrCode::NoSuchSession)
+      << "the oldest tombstone must have been evicted";
+  EXPECT_EQ(ResumeCode("t", Sids[1]), svc::ErrCode::SessionExpired);
+  EXPECT_EQ(ResumeCode("t", Sids[2]), svc::ErrCode::SessionExpired);
+  EXPECT_EQ(ResumeCode("mallory", Sids[2]), svc::ErrCode::NoSuchSession)
+      << "foreign sessions must stay indistinguishable from absent ones";
 }
 
 TEST(ServiceSession, ActivelyDrivenSessionSurvivesTtl) {
