@@ -28,29 +28,33 @@ namespace {
 /// FNV-1a 64. Two lanes give the 128-bit key. FNV-1a is affine in its
 /// basis, so two lanes that hash the *same* byte stream from different
 /// bases differ only by a function of the basis pair and the length — the
-/// key would carry ~64 bits of entropy, not 128. The salted lane therefore
+/// key would carry ~64 bits of entropy, not 128. The salted lane B therefore
 /// interleaves a running byte-position salt into its input stream, making
 /// the two hashed strings genuinely different, and the lanes are entangled
-/// in cacheKeyFor. Multi-byte values are absorbed LSB-first explicitly, so
-/// keys (and the artifact files named after them) are host-independent.
-struct Fnv {
-  uint64_t H;
-  uint64_t Pos = 0;
-  bool Salted;
-  explicit Fnv(uint64_t Basis, bool Salted = false)
-      : H(Basis), Salted(Salted) {}
-  void byte(uint8_t B) {
-    H ^= B;
-    H *= 0x100000001b3ull;
-    if (Salted) {
-      H ^= uint8_t(Pos++);
-      H *= 0x100000001b3ull;
-    }
+/// in cacheKeyFor. Both lanes absorb each byte in one pass, so their
+/// multiply chains overlap. Multi-byte values are absorbed LSB-first
+/// explicitly, so keys (and the artifact files named after them) are
+/// host-independent.
+struct TwoLaneFnv {
+  static constexpr uint64_t Prime = 0x100000001b3ull;
+  uint64_t A = 0xcbf29ce484222325ull;
+  uint64_t B = 0x84222325cbf29ce4ull;
+  uint64_t Pos = 0; ///< lane B's salt: bytes absorbed so far
+
+  void byte(uint8_t X) {
+    A = (A ^ X) * Prime;
+    B = (((B ^ X) * Prime) ^ uint8_t(Pos++)) * Prime;
   }
   void bytes(const void *P, size_t N) {
-    const uint8_t *B = static_cast<const uint8_t *>(P);
-    for (size_t I = 0; I < N; ++I)
-      byte(B[I]);
+    const uint8_t *Bs = static_cast<const uint8_t *>(P);
+    uint64_t HA = A, HB = B, Salt = Pos;
+    for (size_t I = 0; I < N; ++I) {
+      HA = (HA ^ Bs[I]) * Prime;
+      HB = (((HB ^ Bs[I]) * Prime) ^ uint8_t(Salt++)) * Prime;
+    }
+    A = HA;
+    B = HB;
+    Pos = Salt;
   }
   void u64(uint64_t V) {
     for (int I = 0; I < 8; ++I)
@@ -63,7 +67,7 @@ struct Fnv {
   }
 };
 
-void hashRequest(Fnv &F, const CompileRequest &Req) {
+void hashRequest(TwoLaneFnv &F, const CompileRequest &Req) {
   F.bytes("cmmex-artifact-v2", 17);
   F.u8(Req.IncludeStdLib);
   F.u8(Req.Optimize);
@@ -87,12 +91,12 @@ void hashRequest(Fnv &F, const CompileRequest &Req) {
 } // namespace
 
 CacheKey cmm::engine::cacheKeyFor(const CompileRequest &Req) {
-  Fnv A(0xcbf29ce484222325ull);
-  Fnv B(0x84222325cbf29ce4ull, /*Salted=*/true);
-  hashRequest(A, Req);
-  hashRequest(B, Req);
-  B.u64(A.H); // entangle the lanes
-  return {A.H, B.H};
+  TwoLaneFnv F;
+  hashRequest(F, Req);
+  // Entangle the lanes: B absorbs A's final value (salted, as ever).
+  uint64_t A = F.A;
+  F.u64(A);
+  return {A, F.B};
 }
 
 std::string CacheKey::str() const {
@@ -113,9 +117,10 @@ namespace cmm::engine {
 /// + translate + link, optionally optimize, then re-validate. Error strings
 /// keep the phase-prefixed form the differential harness reports.
 void populateArtifact(ProgramArtifact &A, const CompileRequest &Req,
+                      const CacheKey &Key,
                       std::shared_ptr<std::atomic<uint64_t>> BcCounter,
                       std::shared_ptr<ThreadedCounters> TCounters) {
-  A.Key = cacheKeyFor(Req);
+  A.Key = Key;
   A.BcCompiles = std::move(BcCounter);
   A.TCnt = std::move(TCounters);
   DiagnosticEngine Diags;
@@ -208,7 +213,7 @@ std::unique_ptr<Executor> ProgramArtifact::newExecutor(Backend B) const {
 std::shared_ptr<const ProgramArtifact>
 cmm::engine::compileArtifact(const CompileRequest &Req) {
   auto A = std::make_shared<ProgramArtifact>();
-  populateArtifact(*A, Req, nullptr, nullptr);
+  populateArtifact(*A, Req, cacheKeyFor(Req), nullptr, nullptr);
   return A;
 }
 
@@ -341,7 +346,7 @@ ModuleCache::getOrCompile(const CompileRequest &Req, bool *WasHit) {
 
     auto T0 = std::chrono::steady_clock::now();
     auto Art = std::make_shared<ProgramArtifact>();
-    populateArtifact(*Art, Req, BcCompiles, TCnt);
+    populateArtifact(*Art, Req, Key, BcCompiles, TCnt);
     IrCompilesC.add(1);
     CompileMicrosH.record(
         uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(

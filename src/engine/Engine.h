@@ -161,6 +161,7 @@ public:
 private:
   friend void
   populateArtifact(ProgramArtifact &A, const CompileRequest &Req,
+                   const CacheKey &Key,
                    std::shared_ptr<std::atomic<uint64_t>> BcCounter,
                    std::shared_ptr<ThreadedCounters> TCounters);
   /// The persistent tier deserializes directly into the private fields

@@ -96,7 +96,7 @@ const char *binOpName(BinOp O) {
   return Names[size_t(O)];
 }
 
-std::string quoted(const std::string &S) {
+std::string quoted(std::string_view S) {
   std::string Out = "\"";
   for (unsigned char C : S) {
     if (C == '"' || C == '\\') {
@@ -152,18 +152,18 @@ struct IlPrinter {
       return It->second;
     switch (E->kind()) {
     case Expr::Kind::Load:
-      visitExpr(static_cast<const LoadExpr *>(E)->Addr.get());
+      visitExpr(static_cast<const LoadExpr *>(E)->Addr);
       break;
     case Expr::Kind::Unary:
-      visitExpr(static_cast<const UnaryExpr *>(E)->Operand.get());
+      visitExpr(static_cast<const UnaryExpr *>(E)->Operand);
       break;
     case Expr::Kind::Binary:
-      visitExpr(static_cast<const BinaryExpr *>(E)->Lhs.get());
-      visitExpr(static_cast<const BinaryExpr *>(E)->Rhs.get());
+      visitExpr(static_cast<const BinaryExpr *>(E)->Lhs);
+      visitExpr(static_cast<const BinaryExpr *>(E)->Rhs);
       break;
     case Expr::Kind::Prim:
-      for (const ExprPtr &A : static_cast<const PrimExpr *>(E)->Args)
-        visitExpr(A.get());
+      for (const Expr *A : static_cast<const PrimExpr *>(E)->Args)
+        visitExpr(A);
       break;
     default:
       break;
@@ -242,20 +242,20 @@ struct IlPrinter {
     case Expr::Kind::Load: {
       const auto *L = static_cast<const LoadExpr *>(E);
       f(" load %s", L->AccessTy.str().c_str());
-      expr(L->Addr.get());
+      expr(L->Addr);
       break;
     }
     case Expr::Kind::Unary: {
       const auto *U = static_cast<const UnaryExpr *>(E);
       f(" un %s", unOpName(U->Op));
-      expr(U->Operand.get());
+      expr(U->Operand);
       break;
     }
     case Expr::Kind::Binary: {
       const auto *B = static_cast<const BinaryExpr *>(E);
       f(" bin %s", binOpName(B->Op));
-      expr(B->Lhs.get());
-      expr(B->Rhs.get());
+      expr(B->Lhs);
+      expr(B->Rhs);
       break;
     }
     case Expr::Kind::Prim: {
@@ -263,8 +263,8 @@ struct IlPrinter {
       Out += " prim";
       sym(Pr->Name);
       f(" %zu", Pr->Args.size());
-      for (const ExprPtr &A : Pr->Args)
-        expr(A.get());
+      for (const Expr *A : Pr->Args)
+        expr(A);
       break;
     }
     case Expr::Kind::Sizeof: {
@@ -575,7 +575,9 @@ struct IlParser {
 
   // Per-proc state.
   std::vector<Expr *> Exprs;
-  std::vector<ExprPtr> Owned;
+  std::vector<uint8_t> Adopted;
+  /// The current proc's ExprPool, which owns its expressions.
+  AstArena *Pool = nullptr;
   std::vector<std::pair<uint32_t, uint64_t>> PendingStrAddrs;
 
   IlParser(Tokens &T, IrProgram &P) : T(T), P(P) {}
@@ -661,15 +663,16 @@ struct IlParser {
     uint32_t I = exprIndex();
     return I == ~0u ? nullptr : Exprs[I];
   }
-  ExprPtr adopt() {
+  Expr *adopt() {
     uint32_t I = exprIndex();
     if (I == ~0u)
       return nullptr;
-    if (!Owned[I]) {
+    if (Adopted[I]) {
       T.fail("expr adopted twice: #" + std::to_string(I));
       return nullptr;
     }
-    return std::move(Owned[I]);
+    Adopted[I] = 1;
+    return Exprs[I];
   }
 
   std::string unquote(const std::string &S) {
@@ -706,12 +709,12 @@ struct IlParser {
       return;
     }
     std::string Kind = T.next();
-    ExprPtr E;
+    Expr *E = nullptr;
     if (Kind == "int") {
       uint64_t V = T.u64();
       Type Ty = type();
       SourceLoc L = loc();
-      E = std::make_unique<IntLitExpr>(L, V);
+      E = Pool->make<IntLitExpr>(L, V);
       E->Ty = Ty;
     } else if (Kind == "flt") {
       uint64_t Bits = T.u64();
@@ -719,13 +722,13 @@ struct IlParser {
       std::memcpy(&V, &Bits, sizeof V);
       Type Ty = type();
       SourceLoc L = loc();
-      E = std::make_unique<FloatLitExpr>(L, V);
+      E = Pool->make<FloatLitExpr>(L, V);
       E->Ty = Ty;
     } else if (Kind == "str") {
       std::string V = unquote(T.next());
       Type Ty = type();
       SourceLoc L = loc();
-      E = std::make_unique<StrLitExpr>(L, std::move(V));
+      E = Pool->make<StrLitExpr>(L, Pool->copy(V));
       E->Ty = Ty;
     } else if (Kind == "name") {
       Symbol S = sym();
@@ -747,16 +750,16 @@ struct IlParser {
         T.fail("unknown refkind '" + RefName + "'");
       Type Ty = type();
       SourceLoc L = loc();
-      auto NE = std::make_unique<NameExpr>(L, S);
+      auto *NE = Pool->make<NameExpr>(L, S);
       NE->Ref = Ref;
       NE->Ty = Ty;
-      E = std::move(NE);
+      E = NE;
     } else if (Kind == "load") {
       Type AccessTy = type();
-      ExprPtr Addr = adopt();
+      Expr *Addr = adopt();
       Type Ty = type();
       SourceLoc L = loc();
-      E = std::make_unique<LoadExpr>(L, AccessTy, std::move(Addr));
+      E = Pool->make<LoadExpr>(L, AccessTy, Addr);
       E->Ty = Ty;
     } else if (Kind == "un") {
       std::string OpName = T.next();
@@ -767,10 +770,10 @@ struct IlParser {
         Op = UnOp::Not;
       else if (OpName != "neg")
         T.fail("unknown unary op '" + OpName + "'");
-      ExprPtr Operand = adopt();
+      Expr *Operand = adopt();
       Type Ty = type();
       SourceLoc L = loc();
-      E = std::make_unique<UnaryExpr>(L, Op, std::move(Operand));
+      E = Pool->make<UnaryExpr>(L, Op, Operand);
       E->Ty = Ty;
     } else if (Kind == "bin") {
       std::string OpName = T.next();
@@ -783,40 +786,39 @@ struct IlParser {
           break;
       if (OpIdx == std::size(Names))
         T.fail("unknown binary op '" + OpName + "'");
-      ExprPtr Lhs = adopt();
-      ExprPtr Rhs = adopt();
+      Expr *Lhs = adopt();
+      Expr *Rhs = adopt();
       Type Ty = type();
       SourceLoc L = loc();
-      E = std::make_unique<BinaryExpr>(L, BinOp(OpIdx), std::move(Lhs),
-                                       std::move(Rhs));
+      E = Pool->make<BinaryExpr>(L, BinOp(OpIdx), Lhs, Rhs);
       E->Ty = Ty;
     } else if (Kind == "prim") {
       Symbol S = sym();
       uint64_t N = T.u64();
-      std::vector<ExprPtr> Args;
+      ArenaListBuilder<Expr *> Args(*Pool);
       for (uint64_t I = 0; I < N && T.Ok; ++I)
         Args.push_back(adopt());
       Type Ty = type();
       SourceLoc L = loc();
-      E = std::make_unique<PrimExpr>(L, S, std::move(Args));
+      E = Pool->make<PrimExpr>(L, S, Args.finish());
       E->Ty = Ty;
     } else if (Kind == "sizeof") {
       Symbol S = sym();
       uint64_t Bytes = T.u64();
       Type Ty = type();
       SourceLoc L = loc();
-      auto SE = std::make_unique<SizeofExpr>(L, S);
+      auto *SE = Pool->make<SizeofExpr>(L, S);
       SE->SizeInBytes = unsigned(Bytes);
       SE->Ty = Ty;
-      E = std::move(SE);
+      E = SE;
     } else {
       T.fail("unknown expr kind '" + Kind + "'");
       return;
     }
     if (!T.Ok)
       return;
-    Exprs.push_back(E.get());
-    Owned.push_back(std::move(E));
+    Exprs.push_back(E);
+    Adopted.push_back(0);
   }
 
   /// Consumes exactly one node payload (plus its location) without
@@ -1017,7 +1019,7 @@ struct IlParser {
   }
 
   bool parseProc() {
-    auto Proc = std::make_unique<IrProc>();
+    auto Proc = std::make_unique<IrProc>(&P.Memory);
     Proc->Name = sym();
     while (T.accept("param")) {
       Type Ty = type();
@@ -1031,7 +1033,8 @@ struct IlParser {
         Proc->VarTypes.emplace(S, Ty);
     }
     Exprs.clear();
-    Owned.clear();
+    Adopted.clear();
+    Pool = &Proc->ExprPool;
     PendingStrAddrs.clear();
     while (T.accept("expr"))
       parseExprLine();
@@ -1085,9 +1088,6 @@ struct IlParser {
 
     for (const auto &[I, Addr] : PendingStrAddrs)
       P.StrAddrs.emplace(static_cast<const StrLitExpr *>(Exprs[I]), Addr);
-    for (ExprPtr &E : Owned)
-      if (E)
-        Proc->ExprPool.push_back(std::move(E));
     P.ProcByName.emplace(Proc->Name, Proc.get());
     P.Procs.push_back(std::move(Proc));
     return true;

@@ -49,7 +49,8 @@ std::string nodeText(const Node *N, const Interner &Names) {
     for (size_t I = 0; I < E->Conts.size(); ++I) {
       if (I)
         Out += ", ";
-      Out += Names.spelling(E->Conts[I].first) + "=" + ref(E->Conts[I].second);
+      Out += std::string(Names.spelling(E->Conts[I].first)) + "=" +
+             ref(E->Conts[I].second);
     }
     return Out + "] -> " + ref(E->Next);
   }
@@ -73,7 +74,8 @@ std::string nodeText(const Node *N, const Interner &Names) {
   }
   case Node::Kind::Assign: {
     const auto *A = cast<AssignNode>(N);
-    return Names.spelling(A->Var) + " := " + printExpr(*A->Value, Names) +
+    return std::string(Names.spelling(A->Var)) + " := " +
+           printExpr(*A->Value, Names) +
            " -> " + ref(A->Next);
   }
   case Node::Kind::Store: {
@@ -147,7 +149,7 @@ std::string nodeText(const Node *N, const Interner &Names) {
 } // namespace
 
 std::string cmm::printProc(const IrProc &P, const Interner &Names) {
-  std::string Out = Names.spelling(P.Name) + ":\n";
+  std::string Out = std::string(Names.spelling(P.Name)) + ":\n";
   for (const Node *N : reachableNodes(P))
     Out += "  n" + std::to_string(N->Id) + ": " + nodeText(N, Names) + "\n";
   return Out;

@@ -51,7 +51,7 @@ constexpr uint32_t NullExpr = 0xffffffffu;
 struct SymTable {
   const Interner &Names;
   std::unordered_map<uint32_t, uint32_t> Map;
-  std::vector<const std::string *> Spellings;
+  std::vector<std::string_view> Spellings;
 
   explicit SymTable(const Interner &Names) : Names(Names) {}
 
@@ -63,7 +63,7 @@ struct SymTable {
       return It->second;
     uint32_t New = uint32_t(Map.size()) + 1;
     Map.emplace(S.Id, New);
-    Spellings.push_back(&Names.spelling(S));
+    Spellings.push_back(Names.spelling(S));
     return New;
   }
 };
@@ -121,18 +121,18 @@ struct IrWriter {
     case Expr::Kind::Sizeof:
       break;
     case Expr::Kind::Load:
-      visitExpr(static_cast<const LoadExpr *>(E)->Addr.get());
+      visitExpr(static_cast<const LoadExpr *>(E)->Addr);
       break;
     case Expr::Kind::Unary:
-      visitExpr(static_cast<const UnaryExpr *>(E)->Operand.get());
+      visitExpr(static_cast<const UnaryExpr *>(E)->Operand);
       break;
     case Expr::Kind::Binary:
-      visitExpr(static_cast<const BinaryExpr *>(E)->Lhs.get());
-      visitExpr(static_cast<const BinaryExpr *>(E)->Rhs.get());
+      visitExpr(static_cast<const BinaryExpr *>(E)->Lhs);
+      visitExpr(static_cast<const BinaryExpr *>(E)->Rhs);
       break;
     case Expr::Kind::Prim:
-      for (const ExprPtr &A : static_cast<const PrimExpr *>(E)->Args)
-        visitExpr(A.get());
+      for (const Expr *A : static_cast<const PrimExpr *>(E)->Args)
+        visitExpr(A);
       break;
     }
     uint32_t Id = uint32_t(ExprList.size());
@@ -201,28 +201,28 @@ struct IrWriter {
     case Expr::Kind::Load: {
       const auto *L = static_cast<const LoadExpr *>(E);
       type(L->AccessTy);
-      expr(L->Addr.get());
+      expr(L->Addr);
       break;
     }
     case Expr::Kind::Unary: {
       const auto *U = static_cast<const UnaryExpr *>(E);
       Body.u8(uint8_t(U->Op));
-      expr(U->Operand.get());
+      expr(U->Operand);
       break;
     }
     case Expr::Kind::Binary: {
       const auto *B = static_cast<const BinaryExpr *>(E);
       Body.u8(uint8_t(B->Op));
-      expr(B->Lhs.get());
-      expr(B->Rhs.get());
+      expr(B->Lhs);
+      expr(B->Rhs);
       break;
     }
     case Expr::Kind::Prim: {
       const auto *Pr = static_cast<const PrimExpr *>(E);
       sym(Pr->Name);
       Body.u64(Pr->Args.size());
-      for (const ExprPtr &A : Pr->Args)
-        expr(A.get());
+      for (const Expr *A : Pr->Args)
+        expr(A);
       break;
     }
     case Expr::Kind::Sizeof: {
@@ -435,10 +435,11 @@ struct IrReader {
   IrProgram &P;
   std::vector<Symbol> SymOf; ///< table index -> interned symbol
 
-  // Per-proc expression table: every entry, plus ownership for entries not
-  // yet adopted by a parent expression.
+  // Per-proc expression table: every entry, and whether a parent expression
+  // has adopted it yet. The entries live in the proc's ExprPool.
   std::vector<Expr *> Exprs;
-  std::vector<ExprPtr> Owned;
+  std::vector<uint8_t> Adopted;
+  AstArena *Pool = nullptr;
 
   IrReader(ByteReader &R, IrProgram &P) : R(R), P(P) {}
 
@@ -476,15 +477,16 @@ struct IrReader {
       return R.fail(), nullptr;
     return Exprs[I];
   }
-  /// As expr(), but transfers ownership to the caller (a parent adopting a
-  /// child). A second adoption of the same entry means corrupt input.
-  ExprPtr adopt(uint32_t Limit) {
+  /// As expr(), for a parent adopting a child: the tables encode trees, so
+  /// a second adoption of the same entry means corrupt input.
+  Expr *adopt(uint32_t Limit) {
     uint32_t I = R.u32();
     if (I == NullExpr)
       return nullptr;
-    if (I >= Limit || !Owned[I])
+    if (I >= Limit || Adopted[I])
       return R.fail(), nullptr;
-    return std::move(Owned[I]);
+    Adopted[I] = 1;
+    return Exprs[I];
   }
 
   void readExprEntry(uint32_t Index) {
@@ -495,72 +497,67 @@ struct IrReader {
     }
     Type Ty = type();
     SourceLoc Loc = loc();
-    ExprPtr E;
+    Expr *E = nullptr;
     switch (Expr::Kind(KindByte)) {
     case Expr::Kind::IntLit:
-      E = std::make_unique<IntLitExpr>(Loc, R.u64());
+      E = Pool->make<IntLitExpr>(Loc, R.u64());
       break;
     case Expr::Kind::FloatLit:
-      E = std::make_unique<FloatLitExpr>(Loc, R.f64());
+      E = Pool->make<FloatLitExpr>(Loc, R.f64());
       break;
     case Expr::Kind::StrLit:
-      E = std::make_unique<StrLitExpr>(Loc, R.str());
+      E = Pool->make<StrLitExpr>(Loc, Pool->copy(R.str()));
       break;
     case Expr::Kind::Name: {
       Symbol S = sym();
       uint8_t Ref = R.u8();
       if (Ref > uint8_t(RefKind::Import))
         R.fail();
-      auto NE = std::make_unique<NameExpr>(Loc, S);
+      auto *NE = Pool->make<NameExpr>(Loc, S);
       NE->Ref = RefKind(Ref);
-      E = std::move(NE);
+      E = NE;
       break;
     }
     case Expr::Kind::Load: {
       Type AccessTy = type();
-      ExprPtr Addr = adopt(Index);
-      E = std::make_unique<LoadExpr>(Loc, AccessTy, std::move(Addr));
+      E = Pool->make<LoadExpr>(Loc, AccessTy, adopt(Index));
       break;
     }
     case Expr::Kind::Unary: {
       uint8_t Op = R.u8();
       if (Op > uint8_t(UnOp::Not))
         R.fail();
-      ExprPtr Operand = adopt(Index);
-      E = std::make_unique<UnaryExpr>(Loc, UnOp(Op), std::move(Operand));
+      E = Pool->make<UnaryExpr>(Loc, UnOp(Op), adopt(Index));
       break;
     }
     case Expr::Kind::Binary: {
       uint8_t Op = R.u8();
       if (Op > uint8_t(BinOp::GeS))
         R.fail();
-      ExprPtr Lhs = adopt(Index);
-      ExprPtr Rhs = adopt(Index);
-      E = std::make_unique<BinaryExpr>(Loc, BinOp(Op), std::move(Lhs),
-                                       std::move(Rhs));
+      Expr *Lhs = adopt(Index);
+      Expr *Rhs = adopt(Index);
+      E = Pool->make<BinaryExpr>(Loc, BinOp(Op), Lhs, Rhs);
       break;
     }
     case Expr::Kind::Prim: {
       Symbol S = sym();
       size_t N = R.count(4);
-      std::vector<ExprPtr> Args;
-      Args.reserve(N);
+      Expr **Args = Pool->allocArray<Expr *>(N);
       for (size_t I = 0; I < N; ++I)
-        Args.push_back(adopt(Index));
-      E = std::make_unique<PrimExpr>(Loc, S, std::move(Args));
+        Args[I] = adopt(Index);
+      E = Pool->make<PrimExpr>(Loc, S, std::span<Expr *>(Args, N));
       break;
     }
     case Expr::Kind::Sizeof: {
       Symbol S = sym();
-      auto SE = std::make_unique<SizeofExpr>(Loc, S);
+      auto *SE = Pool->make<SizeofExpr>(Loc, S);
       SE->SizeInBytes = R.u32();
-      E = std::move(SE);
+      E = SE;
       break;
     }
     }
     E->Ty = Ty;
-    Exprs[Index] = E.get();
-    Owned[Index] = std::move(E);
+    Exprs[Index] = E;
   }
 
   void readNodePayload(IrProc &Proc, Node &N, uint32_t ExprCount) {
@@ -711,8 +708,8 @@ struct IrReader {
 
     size_t NExprs = R.count(4);
     Exprs.assign(NExprs, nullptr);
-    Owned.clear();
-    Owned.resize(NExprs);
+    Adopted.assign(NExprs, 0);
+    Pool = &Proc.ExprPool;
     for (uint32_t I = 0; I < NExprs && R.ok(); ++I)
       readExprEntry(I);
     if (!R.ok())
@@ -783,11 +780,6 @@ struct IrReader {
     for (size_t I = 0; I < NNodes && R.ok(); ++I)
       readNodePayload(Proc, *Proc.Nodes[I], uint32_t(NExprs));
     Proc.EntryPoint = nodeRef(Proc);
-
-    // Hand any expression not adopted by a parent to the proc's pool.
-    for (ExprPtr &E : Owned)
-      if (E)
-        Proc.ExprPool.push_back(std::move(E));
     return R.ok();
   }
 
@@ -820,7 +812,7 @@ struct IrReader {
     P.DataEnd = R.u64();
     size_t NProcs = R.count(8);
     for (size_t I = 0; I < NProcs && R.ok(); ++I) {
-      auto Proc = std::make_unique<IrProc>();
+      auto Proc = std::make_unique<IrProc>(&P.Memory);
       if (!readProc(*Proc))
         return false;
       P.ProcByName.emplace(Proc->Name, Proc.get());
@@ -837,8 +829,8 @@ void cmm::serializeIr(const IrProgram &P, ByteWriter &W) {
   IW.writeProgram();
   W.u32(IrFormatVersion);
   W.u64(IW.Syms.Spellings.size());
-  for (const std::string *S : IW.Syms.Spellings)
-    W.str(*S);
+  for (std::string_view S : IW.Syms.Spellings)
+    W.str(S);
   W.bytes(IW.Body.buffer().data(), IW.Body.size());
 }
 

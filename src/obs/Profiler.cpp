@@ -19,7 +19,7 @@ std::string Profiler::procName(const Executor &M, const IrProc *P) {
   auto It = ProcNames.find(P);
   if (It != ProcNames.end())
     return It->second;
-  const std::string &Name = M.program().Names->spelling(P->Name);
+  std::string Name(M.program().Names->spelling(P->Name));
   ProcNames.emplace(P, Name);
   return Name;
 }

@@ -45,7 +45,7 @@ namespace {
 std::string procName(const Executor &M, const IrProc *P) {
   if (!P)
     return "?";
-  return M.program().Names->spelling(P->Name);
+  return std::string(M.program().Names->spelling(P->Name));
 }
 
 /// First yield argument, when the run follows the (tag, arg?) convention.

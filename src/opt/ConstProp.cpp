@@ -44,7 +44,7 @@ std::optional<Value> fold(const Expr *E, const LookupFn &Lookup,
 
   case Expr::Kind::Unary: {
     const auto *U = cast<UnaryExpr>(E);
-    std::optional<Value> V = fold(U->Operand.get(), Lookup, Names);
+    std::optional<Value> V = fold(U->Operand, Lookup, Names);
     if (!V)
       return std::nullopt;
     switch (U->Op) {
@@ -66,8 +66,8 @@ std::optional<Value> fold(const Expr *E, const LookupFn &Lookup,
 
   case Expr::Kind::Binary: {
     const auto *B = cast<BinaryExpr>(E);
-    std::optional<Value> L = fold(B->Lhs.get(), Lookup, Names);
-    std::optional<Value> R = fold(B->Rhs.get(), Lookup, Names);
+    std::optional<Value> L = fold(B->Lhs, Lookup, Names);
+    std::optional<Value> R = fold(B->Rhs, Lookup, Names);
     if (!L || !R)
       return std::nullopt;
     if (L->isFloat() || R->isFloat()) {
@@ -130,7 +130,7 @@ std::optional<Value> fold(const Expr *E, const LookupFn &Lookup,
     if (P->Args.size() > std::size(Args))
       return std::nullopt;
     for (size_t I = 0; I < P->Args.size(); ++I) {
-      std::optional<Value> V = fold(P->Args[I].get(), Lookup, Names);
+      std::optional<Value> V = fold(P->Args[I], Lookup, Names);
       if (!V)
         return std::nullopt;
       Args[I] = *V;
@@ -345,17 +345,13 @@ void ConstPropImpl::clobberOnEdge(const Node *N, EdgeKind Kind,
 
 const Expr *ConstPropImpl::makeLiteral(const Value &V, SourceLoc Loc) {
   if (V.isFloat()) {
-    auto E = std::make_unique<FloatLitExpr>(Loc, V.F);
+    auto *E = P.ExprPool.make<FloatLitExpr>(Loc, V.F);
     E->Ty = Type::flt(V.Width);
-    const Expr *Raw = E.get();
-    P.ExprPool.push_back(std::move(E));
-    return Raw;
+    return E;
   }
-  auto E = std::make_unique<IntLitExpr>(Loc, V.Raw);
+  auto *E = P.ExprPool.make<IntLitExpr>(Loc, V.Raw);
   E->Ty = Type::bits(V.Width);
-  const Expr *Raw = E.get();
-  P.ExprPool.push_back(std::move(E));
-  return Raw;
+  return E;
 }
 
 const Expr *ConstPropImpl::rewriteExpr(const Expr *E, const Cell *S) {

@@ -119,13 +119,11 @@ const Expr *CopyPropImpl::rewriteExpr(const Expr *E, const unsigned *S) {
     std::optional<unsigned> I = U.varIndex(N->Name);
     if (!I || S[*I] == NoCopy || S[*I] == TopVal || !U.isVar(S[*I]))
       return E;
-    auto New = std::make_unique<NameExpr>(N->loc(), U.varAt(S[*I]));
+    auto *New = P.ExprPool.make<NameExpr>(N->loc(), U.varAt(S[*I]));
     New->Ty = N->Ty;
     New->Ref = U.isGlobalVar(S[*I]) ? RefKind::Global : RefKind::Local;
-    const Expr *Raw = New.get();
-    P.ExprPool.push_back(std::move(New));
     ++Report.UsesRewritten;
-    return Raw;
+    return New;
   }
   default:
     // Whole-expression uses only: nested occurrences are caught on later

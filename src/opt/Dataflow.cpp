@@ -33,18 +33,18 @@ void forEachExprUse(const Expr *E, VarFn &F, LoadFn &OnLoad) {
   }
   case Expr::Kind::Load:
     OnLoad();
-    forEachExprUse(cast<LoadExpr>(E)->Addr.get(), F, OnLoad);
+    forEachExprUse(cast<LoadExpr>(E)->Addr, F, OnLoad);
     return;
   case Expr::Kind::Unary:
-    forEachExprUse(cast<UnaryExpr>(E)->Operand.get(), F, OnLoad);
+    forEachExprUse(cast<UnaryExpr>(E)->Operand, F, OnLoad);
     return;
   case Expr::Kind::Binary:
-    forEachExprUse(cast<BinaryExpr>(E)->Lhs.get(), F, OnLoad);
-    forEachExprUse(cast<BinaryExpr>(E)->Rhs.get(), F, OnLoad);
+    forEachExprUse(cast<BinaryExpr>(E)->Lhs, F, OnLoad);
+    forEachExprUse(cast<BinaryExpr>(E)->Rhs, F, OnLoad);
     return;
   case Expr::Kind::Prim:
-    for (const ExprPtr &A : cast<PrimExpr>(E)->Args)
-      forEachExprUse(A.get(), F, OnLoad);
+    for (const Expr *A : cast<PrimExpr>(E)->Args)
+      forEachExprUse(A, F, OnLoad);
     return;
   default:
     return;
@@ -143,7 +143,7 @@ LocUniverse LocUniverse::forProc(const IrProc &P, const IrProgram &Prog) {
 
 std::string LocUniverse::describe(unsigned I, const Interner &Names) const {
   if (I < Vars.size())
-    return Names.spelling(Vars[I]);
+    return std::string(Names.spelling(Vars[I]));
   if (I == memIndex())
     return "M";
   return "A[" + std::to_string(I - memIndex() - 1) + "]";
@@ -161,25 +161,25 @@ void cmm::addFreeVars(const Expr *E, const LocUniverse &U, BitRow Out) {
 bool cmm::exprCanFail(const Expr *E, const Interner &Names) {
   switch (E->kind()) {
   case Expr::Kind::Unary:
-    return exprCanFail(cast<UnaryExpr>(E)->Operand.get(), Names);
+    return exprCanFail(cast<UnaryExpr>(E)->Operand, Names);
   case Expr::Kind::Binary: {
     const auto *B = cast<BinaryExpr>(E);
     if ((B->Op == BinOp::Div || B->Op == BinOp::Mod) && B->Lhs->Ty.isBits())
       return true;
-    return exprCanFail(B->Lhs.get(), Names) || exprCanFail(B->Rhs.get(), Names);
+    return exprCanFail(B->Lhs, Names) || exprCanFail(B->Rhs, Names);
   }
   case Expr::Kind::Prim: {
     const auto *P = cast<PrimExpr>(E);
     if (std::optional<PrimKind> K = lookupPrim(Names.spelling(P->Name)))
       if (primCanFail(*K))
         return true;
-    for (const ExprPtr &A : P->Args)
-      if (exprCanFail(A.get(), Names))
+    for (const Expr *A : P->Args)
+      if (exprCanFail(A, Names))
         return true;
     return false;
   }
   case Expr::Kind::Load:
-    return exprCanFail(cast<LoadExpr>(E)->Addr.get(), Names);
+    return exprCanFail(cast<LoadExpr>(E)->Addr, Names);
   default:
     return false;
   }

@@ -8,27 +8,36 @@
 
 #include "support/Assert.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <iterator>
+#include <utility>
 
 using namespace cmm;
 
 std::optional<PrimKind> cmm::lookupPrim(std::string_view Name) {
-  static const std::unordered_map<std::string_view, PrimKind> Table = {
-      {"%divu", PrimKind::DivU}, {"%divs", PrimKind::DivS},
-      {"%modu", PrimKind::ModU}, {"%mods", PrimKind::ModS},
-      {"%ltu", PrimKind::LtU},   {"%leu", PrimKind::LeU},
-      {"%gtu", PrimKind::GtU},   {"%geu", PrimKind::GeU},
-      {"%shra", PrimKind::ShrA}, {"%zx64", PrimKind::Zx64},
-      {"%sx64", PrimKind::Sx64}, {"%lo32", PrimKind::Lo32},
-      {"%hi32", PrimKind::Hi32}, {"%fadd", PrimKind::FAdd},
-      {"%fsub", PrimKind::FSub}, {"%fmul", PrimKind::FMul},
-      {"%fdiv", PrimKind::FDiv}, {"%fneg", PrimKind::FNeg},
-      {"%feq", PrimKind::FEq},   {"%fne", PrimKind::FNe},
-      {"%flt", PrimKind::FLt},   {"%fle", PrimKind::FLe},
-      {"%i2f", PrimKind::I2F},   {"%f2i", PrimKind::F2I},
+  // Sorted by name for binary search: no table to build, nothing allocated.
+  static constexpr std::pair<std::string_view, PrimKind> Table[] = {
+      {"%divs", PrimKind::DivS}, {"%divu", PrimKind::DivU},
+      {"%f2i", PrimKind::F2I},   {"%fadd", PrimKind::FAdd},
+      {"%fdiv", PrimKind::FDiv}, {"%feq", PrimKind::FEq},
+      {"%fle", PrimKind::FLe},   {"%flt", PrimKind::FLt},
+      {"%fmul", PrimKind::FMul}, {"%fne", PrimKind::FNe},
+      {"%fneg", PrimKind::FNeg}, {"%fsub", PrimKind::FSub},
+      {"%geu", PrimKind::GeU},   {"%gtu", PrimKind::GtU},
+      {"%hi32", PrimKind::Hi32}, {"%i2f", PrimKind::I2F},
+      {"%leu", PrimKind::LeU},   {"%lo32", PrimKind::Lo32},
+      {"%ltu", PrimKind::LtU},   {"%mods", PrimKind::ModS},
+      {"%modu", PrimKind::ModU}, {"%shra", PrimKind::ShrA},
+      {"%sx64", PrimKind::Sx64}, {"%zx64", PrimKind::Zx64},
   };
-  auto It = Table.find(Name);
-  if (It == Table.end())
+  static_assert(std::is_sorted(std::begin(Table), std::end(Table),
+                               [](const auto &A, const auto &B) {
+                                 return A.first < B.first;
+                               }));
+  auto It = std::lower_bound(
+      std::begin(Table), std::end(Table), Name,
+      [](const auto &E, std::string_view N) { return E.first < N; });
+  if (It == std::end(Table) || It->first != Name)
     return std::nullopt;
   return It->second;
 }

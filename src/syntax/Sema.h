@@ -20,25 +20,41 @@
 #include "support/Diagnostics.h"
 #include "syntax/Ast.h"
 
+#include <memory>
+#include <memory_resource>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 namespace cmm {
 
 /// Per-procedure name tables built by Sema and reused by the translator.
+/// Vars and Continuations are hash tables on purpose: the translator copies
+/// them into IrProc::VarTypes in their iteration order, and the optimizer's
+/// dataflow universe follows that order, so it is part of the output.
 struct ProcInfo {
-  std::unordered_map<Symbol, Type> Vars; ///< params and locals
-  std::unordered_map<Symbol, const ContinuationStmt *> Continuations;
-  std::unordered_set<Symbol> Labels;
+  explicit ProcInfo(std::pmr::memory_resource *Mem)
+      : Vars(Mem), Continuations(Mem), Labels(Mem) {}
+
+  std::pmr::unordered_map<Symbol, Type> Vars; ///< params and locals
+  std::pmr::unordered_map<Symbol, const ContinuationStmt *> Continuations;
+  std::pmr::unordered_set<Symbol> Labels;
 };
 
-/// Module-wide resolution results.
+/// Module-wide resolution results. Every table draws from Memory, one
+/// monotonic buffer freed with the SemaInfo (after translation).
 struct SemaInfo {
-  std::unordered_map<const ProcDecl *, ProcInfo> Procs;
-  std::unordered_map<Symbol, Type> Globals;
-  std::unordered_set<Symbol> DataLabels;
-  std::unordered_set<Symbol> ProcNames;
-  std::unordered_set<Symbol> ImportNames;
+  explicit SemaInfo(size_t InitialBytes)
+      : Memory(std::make_unique<std::pmr::monotonic_buffer_resource>(
+            InitialBytes)),
+        Procs(Memory.get()), ImportNames(Memory.get()) {}
+
+  std::unique_ptr<std::pmr::monotonic_buffer_resource> Memory;
+  /// Parallel to Module::Procs.
+  std::pmr::vector<ProcInfo> Procs;
+  /// Imports, declared and implied (unresolved %%name calls); the linker
+  /// reports unresolved ones in this table's order.
+  std::pmr::unordered_set<Symbol> ImportNames;
 };
 
 /// Resolves and checks \p Mod, mutating NameExpr::Ref, Expr::Ty and

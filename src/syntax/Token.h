@@ -15,7 +15,7 @@
 #include "support/SourceLoc.h"
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace cmm {
 
@@ -87,14 +87,18 @@ enum class TokKind : uint8_t {
   Bang,
 };
 
-/// One lexed token. Identifier/literal payloads are stored as text; the
-/// parser interns identifiers and parses numbers.
+/// One lexed token: trivially copyable, it owns nothing. Text views the
+/// source buffer, which must outlive the token.
 struct Token {
   TokKind Kind = TokKind::Eof;
   SourceLoc Loc;
-  std::string Text;    ///< spelling for Ident/PrimName/StrLit
-  uint64_t IntValue = 0;
-  double FloatValue = 0;
+  /// Ident/PrimName: the spelling. StrLit: the raw bytes between the quotes,
+  /// escapes not yet decoded (see decodeStringLiteral).
+  std::string_view Text;
+  union {
+    uint64_t IntValue = 0;
+    double FloatValue;
+  };
 
   bool is(TokKind K) const { return Kind == K; }
 };

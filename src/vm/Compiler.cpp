@@ -154,18 +154,18 @@ void ProcCompiler::collectExprSyms(const Expr *E) {
     return;
   }
   case Expr::Kind::Load:
-    collectExprSyms(cast<LoadExpr>(E)->Addr.get());
+    collectExprSyms(cast<LoadExpr>(E)->Addr);
     return;
   case Expr::Kind::Unary:
-    collectExprSyms(cast<UnaryExpr>(E)->Operand.get());
+    collectExprSyms(cast<UnaryExpr>(E)->Operand);
     return;
   case Expr::Kind::Binary:
-    collectExprSyms(cast<BinaryExpr>(E)->Lhs.get());
-    collectExprSyms(cast<BinaryExpr>(E)->Rhs.get());
+    collectExprSyms(cast<BinaryExpr>(E)->Lhs);
+    collectExprSyms(cast<BinaryExpr>(E)->Rhs);
     return;
   case Expr::Kind::Prim:
-    for (const ExprPtr &A : cast<PrimExpr>(E)->Args)
-      collectExprSyms(A.get());
+    for (const Expr *A : cast<PrimExpr>(E)->Args)
+      collectExprSyms(A);
     return;
   default:
     return;
@@ -403,45 +403,45 @@ uint16_t ProcCompiler::compileExpr(const Expr *E) {
   case Expr::Kind::Load: {
     const auto *L = cast<LoadExpr>(E);
     uint16_t Addr;
-    if (std::optional<uint16_t> Enc = leafOperand(L->Addr.get()))
+    if (std::optional<uint16_t> Enc = leafOperand(L->Addr))
       Addr = *Enc;
     else
-      Addr = compileExpr(L->Addr.get());
+      Addr = compileExpr(L->Addr);
     uint16_t R = newTemp();
     VmInstr &I = emit(Op::MemLoad, E->loc());
     I.A = R;
     I.B = Addr;
     I.Imm = tyEnc(L->AccessTy);
-    noteRvLoc(1, Addr, L->Addr.get());
+    noteRvLoc(1, Addr, L->Addr);
     return R;
   }
   case Expr::Kind::Unary: {
     const auto *U = cast<UnaryExpr>(E);
     uint16_t Operand;
-    if (std::optional<uint16_t> Enc = leafOperand(U->Operand.get()))
+    if (std::optional<uint16_t> Enc = leafOperand(U->Operand))
       Operand = *Enc;
     else
-      Operand = compileExpr(U->Operand.get());
+      Operand = compileExpr(U->Operand);
     uint16_t R = newTemp();
     VmInstr &I = emit(Op::Unary, E->loc());
     I.A = R;
     I.B = Operand;
     I.Imm = static_cast<uint32_t>(U->Op);
-    noteRvLoc(1, Operand, U->Operand.get());
+    noteRvLoc(1, Operand, U->Operand);
     return R;
   }
   case Expr::Kind::Binary: {
     const auto *B = cast<BinaryExpr>(E);
     uint16_t L, R2;
-    compileOperandPair(B->Lhs.get(), B->Rhs.get(), L, R2);
+    compileOperandPair(B->Lhs, B->Rhs, L, R2);
     uint16_t R = newTemp();
     VmInstr &I = emit(Op::Binary, E->loc());
     I.A = R;
     I.B = L;
     I.C = R2;
     I.Imm = static_cast<uint32_t>(B->Op);
-    noteRvLoc(1, L, B->Lhs.get());
-    noteRvLoc(2, R2, B->Rhs.get());
+    noteRvLoc(1, L, B->Lhs);
+    noteRvLoc(2, R2, B->Rhs);
     return R;
   }
   case Expr::Kind::Prim: {
@@ -454,19 +454,19 @@ uint16_t ProcCompiler::compileExpr(const Expr *E) {
     uint16_t Regs[2] = {0, 0};
     unsigned Count = static_cast<unsigned>(Pr->Args.size());
     if (Count == 1) {
-      if (std::optional<uint16_t> Enc = leafOperand(Pr->Args[0].get()))
+      if (std::optional<uint16_t> Enc = leafOperand(Pr->Args[0]))
         Regs[0] = *Enc;
       else
-        Regs[0] = compileExpr(Pr->Args[0].get());
+        Regs[0] = compileExpr(Pr->Args[0]);
     } else if (Count == 2) {
-      compileOperandPair(Pr->Args[0].get(), Pr->Args[1].get(), Regs[0],
+      compileOperandPair(Pr->Args[0], Pr->Args[1], Regs[0],
                          Regs[1]);
     } else {
       // Rare arities take the unfused path (extra arguments are still
       // compiled: their goes-wrong checks run in order).
       unsigned Idx = 0;
-      for (const ExprPtr &A : Pr->Args) {
-        uint16_t R = compileExpr(A.get());
+      for (const Expr *A : Pr->Args) {
+        uint16_t R = compileExpr(A);
         if (Idx < 2)
           Regs[Idx] = R;
         ++Idx;
@@ -480,9 +480,9 @@ uint16_t ProcCompiler::compileExpr(const Expr *E) {
     I.Imm = static_cast<uint32_t>(*K) |
             (std::min(Count, 2u) << 16);
     if (Count > 0)
-      noteRvLoc(1, Regs[0], Pr->Args[0].get());
+      noteRvLoc(1, Regs[0], Pr->Args[0]);
     if (Count > 1)
-      noteRvLoc(2, Regs[1], Pr->Args[1].get());
+      noteRvLoc(2, Regs[1], Pr->Args[1]);
     return R;
   }
   }
@@ -836,7 +836,7 @@ std::string cmm::disassemble(const CompiledProc &C, const Interner &Names) {
     return "?";
   };
   std::string S;
-  S += "proc " + Names.spelling(C.Proc->Name) + " (" +
+  S += "proc " + std::string(Names.spelling(C.Proc->Name)) + " (" +
        std::to_string(C.NumSlots) + " slots, " + std::to_string(C.NumRegs) +
        " regs)\n";
   if (!C.HasBody) {

@@ -171,7 +171,7 @@ std::string cmm::disassembleThreaded(const ThreadedProgram &TP,
   const CompiledProc &C = TP.Bytecode->Procs[ProcIdx];
   const ThreadedProc &T = TP.Procs[ProcIdx];
   std::string S;
-  S += "proc " + Names.spelling(C.Proc->Name) + " (" +
+  S += "proc " + std::string(Names.spelling(C.Proc->Name)) + " (" +
        std::to_string(C.NumSlots) + " slots, " + std::to_string(C.NumRegs) +
        " regs, threaded)\n";
   if (!C.HasBody) {

@@ -456,27 +456,25 @@ loop:
 // behaviour — the cmmdiff oracle treats such a change as a miscompile.
 TEST(ConstProp, FoldRefusesUnsoundOperandShapes) {
   Interner Names;
+  AstArena Arena;
   SourceLoc L;
-  auto Int = [&](uint64_t V) -> ExprPtr {
-    return std::make_unique<IntLitExpr>(L, V);
+  auto Int = [&](uint64_t V) -> Expr * {
+    return Arena.make<IntLitExpr>(L, V);
   };
-  auto Flt = [&](double V) -> ExprPtr {
-    return std::make_unique<FloatLitExpr>(L, V);
+  auto Flt = [&](double V) -> Expr * {
+    return Arena.make<FloatLitExpr>(L, V);
   };
-  auto Prim1 = [&](const char *Name, ExprPtr A) -> ExprPtr {
-    std::vector<ExprPtr> Args;
-    Args.push_back(std::move(A));
-    return std::make_unique<PrimExpr>(L, Names.intern(Name),
-                                      std::move(Args));
+  auto Prim1 = [&](const char *Name, Expr *A) -> Expr * {
+    Expr *Args[] = {A};
+    return Arena.make<PrimExpr>(L, Names.intern(Name),
+                                Arena.copy(std::span<Expr *const>(Args)));
   };
-  auto Prim2 = [&](const char *Name, ExprPtr A, ExprPtr B) -> ExprPtr {
-    std::vector<ExprPtr> Args;
-    Args.push_back(std::move(A));
-    Args.push_back(std::move(B));
-    return std::make_unique<PrimExpr>(L, Names.intern(Name),
-                                      std::move(Args));
+  auto Prim2 = [&](const char *Name, Expr *A, Expr *B) -> Expr * {
+    Expr *Args[] = {A, B};
+    return Arena.make<PrimExpr>(L, Names.intern(Name),
+                                Arena.copy(std::span<Expr *const>(Args)));
   };
-  auto Fold = [&](const ExprPtr &E) { return foldConstExpr(E.get(), Names); };
+  auto Fold = [&](const Expr *E) { return foldConstExpr(E, Names); };
 
   // Well-shaped folds still fold.
   EXPECT_EQ(Fold(Prim2("%ltu", Int(5), Int(7))), Value::bits(32, 1));
