@@ -182,6 +182,31 @@ TEST(ServiceRoundTrip, CompileInternsAndReportsCacheHit) {
   EXPECT_FALSE(R3->Error.empty());
 }
 
+TEST(ServiceRoundTrip, HostileSourcesFailToCompileAndTheServerLives) {
+  // ~100 KB sources that once overflowed a pool worker's stack: stray bytes
+  // (the lexer recursed once per byte) and deep nesting (the parser recursed
+  // once per level). Each is now a compile error in the artifact.
+  ServiceHarness H;
+  auto C = H.client();
+  ASSERT_TRUE(C);
+  const size_t N = 100000;
+  for (std::string Src :
+       {std::string(N, '@'),
+        "export main;\nmain(bits32 n) { return (" + std::string(N, '(') +
+            "n" + std::string(N, ')') + "); }\n",
+        "export main;\nmain(bits32 n) { return (" + std::string(N, '-') +
+            "n); }\n"}) {
+    svc::CompileRequestMsg M;
+    M.Tenant = "t";
+    M.Sources = {std::move(Src)};
+    std::optional<svc::CompiledMsg> R = C->compile(std::move(M));
+    ASSERT_TRUE(R.has_value()) << C->error();
+    EXPECT_FALSE(R->Ok);
+    EXPECT_FALSE(R->Error.empty());
+    EXPECT_TRUE(C->ping()) << "server did not survive a hostile source";
+  }
+}
+
 TEST(ServiceRoundTrip, CompileHitFlagIsPerRequest) {
   // The hit flag must describe this request's own lookup: hits on other
   // keys landing concurrently (a second client hammering one hot source)
