@@ -89,6 +89,24 @@ TEST(Interner, StableIdentitiesAcrossGrowth) {
   EXPECT_EQ(I.size(), 1000u);
 }
 
+TEST(Interner, SpellingViewsSurviveGrowthAndIdsFollowFirstUse) {
+  Interner I;
+  // One-byte names take their own path; ids still follow first use.
+  Symbol A = I.intern("a"), Ab = I.intern("ab"), B = I.intern("b");
+  EXPECT_EQ(A.Id + 1, Ab.Id);
+  EXPECT_EQ(Ab.Id + 1, B.Id);
+  EXPECT_EQ(I.lookup("a"), A);
+  EXPECT_FALSE(I.lookup("c").isValid());
+  std::string_view Early = I.spelling(Ab);
+  std::string Long(5000, 'x'); // larger than one spelling block
+  Symbol L = I.intern(Long);
+  for (int K = 0; K < 2000; ++K)
+    I.intern("n" + std::to_string(K));
+  EXPECT_EQ(Early, "ab");
+  EXPECT_EQ(I.spelling(L), Long);
+  EXPECT_EQ(I.spelling(A), "a");
+}
+
 //===----------------------------------------------------------------------===//
 // Env
 //===----------------------------------------------------------------------===//
