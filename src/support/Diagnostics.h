@@ -38,15 +38,20 @@ struct Diagnostic {
 /// Accumulates diagnostics for one compilation.
 class DiagnosticEngine {
 public:
+  /// Diagnostics kept at most. Later ones are counted (an error still makes
+  /// hasErrors() true) but dropped, and one note says so, so no input can
+  /// make a compilation's diagnostics grow without bound.
+  static constexpr size_t MaxKept = 100;
+
   void error(SourceLoc Loc, std::string Message) {
-    Diags.push_back({DiagKind::Error, Loc, std::move(Message)});
     ++NumErrors;
+    add(DiagKind::Error, Loc, std::move(Message));
   }
   void warning(SourceLoc Loc, std::string Message) {
-    Diags.push_back({DiagKind::Warning, Loc, std::move(Message)});
+    add(DiagKind::Warning, Loc, std::move(Message));
   }
   void note(SourceLoc Loc, std::string Message) {
-    Diags.push_back({DiagKind::Note, Loc, std::move(Message)});
+    add(DiagKind::Note, Loc, std::move(Message));
   }
 
   bool hasErrors() const { return NumErrors != 0; }
@@ -58,6 +63,14 @@ public:
   std::string str() const;
 
 private:
+  void add(DiagKind Kind, SourceLoc Loc, std::string Message) {
+    if (Diags.size() < MaxKept)
+      Diags.push_back({Kind, Loc, std::move(Message)});
+    else if (Diags.size() == MaxKept)
+      Diags.push_back(
+          {DiagKind::Note, Loc, "too many errors; the rest are not shown"});
+  }
+
   std::vector<Diagnostic> Diags;
   unsigned NumErrors = 0;
 };
