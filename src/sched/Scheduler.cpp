@@ -9,6 +9,7 @@
 #include "rts/Dispatchers.h"
 #include "rts/SchedFormat.h"
 
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -77,13 +78,16 @@ struct Scheduler::Channel {
 /// The shared schedule state. Reference-counted so driver tasks that start
 /// after the schedule finished (or after the Scheduler object died) still
 /// have something safe to look at.
-struct Scheduler::Core {
+struct Scheduler::Core : std::enable_shared_from_this<Core> {
   // Immutable after construction.
   SchedOptions Opts;
   ExecutorFactory Factory;
-  Metrics M; ///< by value; never reaches through the Scheduler object
+  SubmitFn Submit; ///< empty when the schedule has one driver
+  Metrics M;       ///< by value; never reaches through the Scheduler object
 
   std::mutex Mu;
+  /// The calling driver sleeps here; helpers never wait (docs/SCHEDULER.md
+  /// § "Execution model: driver participation").
   std::condition_variable Cv;
   std::unordered_map<uint64_t, std::unique_ptr<Green>> Threads;
   std::deque<uint64_t> RunQ;
@@ -100,6 +104,8 @@ struct Scheduler::Core {
   uint64_t Live = 0;   ///< threads not yet Done
   uint64_t Parked = 0; ///< threads in State::Parked
   unsigned ActiveSlices = 0;
+  unsigned Helpers = 0;      ///< helper drivers submitted and not yet exited
+  bool CallerAsleep = false; ///< the calling driver is waiting on Cv
   bool Finished = false;
 
   // Outcome (valid once Finished).
@@ -110,20 +116,56 @@ struct Scheduler::Core {
   bool Deadlocked = false;
   bool FuelExhausted = false;
 
-  // Counters mirrored into SchedResult.
+  // Counters mirrored into SchedResult and added to the registry once, when
+  // the schedule ends.
   uint64_t Spawned = 0, Switches = 0, StepsTotal = 0, Sends = 0, Recvs = 0,
-           TimerWaits = 0;
+           TimerWaits = 0, Joins = 0;
   Stats Agg;
+  /// What this schedule has added to the registry's gauges so far.
+  int64_t PubLive = 0, PubRunnable = 0, PubParked = 0;
 
   Green *get(uint64_t Tid) {
     auto It = Threads.find(Tid);
     return It == Threads.end() ? nullptr : It->second.get();
   }
 
-  void gauges() {
-    M.Runnable->set(int64_t(RunQ.size()));
-    M.Parked->set(int64_t(Parked));
-    M.Live->set(int64_t(Live));
+  /// Moves the registry's gauges by the change since the last call, so
+  /// concurrent schedules sum instead of overwriting one another.
+  void moveGauges(uint64_t L, uint64_t R, uint64_t P) {
+    auto Move = [](Gauge *G, int64_t &Pub, uint64_t V) {
+      if (int64_t(V) != Pub) {
+        G->add(int64_t(V) - Pub);
+        Pub = int64_t(V);
+      }
+    };
+    Move(M.Live, PubLive, L);
+    Move(M.Runnable, PubRunnable, R);
+    Move(M.Parked, PubParked, P);
+  }
+
+  /// Publishes this schedule's population (lock held). Once Finished, run()
+  /// has withdrawn (or is about to withdraw) everything, so a straggling
+  /// driver adds nothing back.
+  void publishGauges() {
+    if (!Finished)
+      moveGauges(Live, RunQ.size(), Parked);
+  }
+
+  /// Queues \p Tid (lock held). Every live driver takes one thread next:
+  /// the pushing one, the calling one, each helper. So the sleeping caller
+  /// is woken only when the queue holds more than the pusher will take,
+  /// and a helper is started only when it holds more than all live drivers
+  /// will. Submit is called under the lock on purpose: pushes happen only
+  /// before the schedule is Finished, and run() returns only after it sees
+  /// Finished under the same lock, so the hook is never called after run().
+  void push(uint64_t Tid) {
+    RunQ.push_back(Tid);
+    if (CallerAsleep && RunQ.size() > 1)
+      Cv.notify_one();
+    if (Submit && Helpers + 1 < Opts.Drivers && RunQ.size() > 1 + Helpers) {
+      ++Helpers;
+      Submit([C = shared_from_this()] { driverLoop(C, /*Caller=*/false); });
+    }
   }
 
   /// Fails the whole schedule (lock held). Idempotent: the first failure
@@ -138,9 +180,7 @@ struct Scheduler::Core {
     WrongLoc = Loc;
     Deadlocked = DeadlockFlag;
     FuelExhausted = FuelFlag;
-    if (DeadlockFlag)
-      M.Deadlocks->add(1);
-    Cv.notify_all();
+    Cv.notify_one();
   }
 
   /// Makes \p G runnable with a pending resume of \p Params (lock held).
@@ -150,8 +190,14 @@ struct Scheduler::Core {
     G.St = Green::State::Runnable;
     G.Pend = Green::Pending::Resume;
     G.ResumeParams = std::move(Params);
-    RunQ.push_back(G.Tid);
-    Cv.notify_one();
+    push(G.Tid);
+  }
+
+  /// Queues the running \p G again (lock held): its slice ran out of fuel
+  /// or it yielded cooperatively.
+  void requeue(Green &G) {
+    G.St = Green::State::Runnable;
+    push(G.Tid);
   }
 
   /// Retires \p G (lock held): records results, folds its machine counters
@@ -200,8 +246,9 @@ SchedResult Scheduler::run(std::string_view Entry, std::vector<Value> Args) {
   C->Opts.Drivers = std::max(1u, Opts.Drivers);
   C->Opts.SliceFuel = std::max<uint64_t>(1, Opts.SliceFuel);
   C->Factory = Factory;
+  if (C->Opts.Drivers > 1)
+    C->Submit = Submit;
   C->M = M;
-  M.Runs->add(1);
 
   {
     std::lock_guard<std::mutex> Lock(C->Mu);
@@ -211,21 +258,17 @@ SchedResult Scheduler::run(std::string_view Entry, std::vector<Value> Args) {
     G->Pend = Green::Pending::Start;
     G->StartProc = std::string(Entry);
     G->StartArgs = std::move(Args);
-    C->RunQ.push_back(G->Tid);
-    C->Threads.emplace(G->Tid, std::move(G));
+    uint64_t Tid = G->Tid;
+    C->Threads.emplace(Tid, std::move(G));
     ++C->Live;
     ++C->Spawned;
-    M.Spawned->add(1);
-    C->gauges();
+    C->push(Tid);
+    C->publishGauges();
   }
 
-  // Extra drivers ride the host pool; each holds the core alive. The
-  // calling thread is always a driver too, so the schedule finishes even
-  // if none of these ever starts (a saturated one-worker pool).
-  if (Submit)
-    for (unsigned I = 1; I < C->Opts.Drivers; ++I)
-      Submit([C] { driverLoop(C); });
-  driverLoop(C);
+  // The calling thread is the driver that can always finish the schedule;
+  // helpers join it only while there is more runnable work than it takes.
+  driverLoop(C, /*Caller=*/true);
 
   SchedResult R;
   std::lock_guard<std::mutex> Lock(C->Mu);
@@ -242,10 +285,22 @@ SchedResult Scheduler::run(std::string_view Entry, std::vector<Value> Args) {
   R.ChanRecvs = C->Recvs;
   R.TimerWaits = C->TimerWaits;
   R.MachineStats = C->Agg;
+
+  // Whatever the outcome, the schedule no longer holds any threads.
+  C->moveGauges(0, 0, 0);
+  M.Runs->add(1);
+  M.Spawned->add(C->Spawned);
+  M.Switches->add(C->Switches);
+  M.Sends->add(C->Sends);
+  M.Recvs->add(C->Recvs);
+  M.TimerWaits->add(C->TimerWaits);
+  M.Joins->add(C->Joins);
+  if (C->Deadlocked)
+    M.Deadlocks->add(1);
   return R;
 }
 
-void Scheduler::driverLoop(const std::shared_ptr<Core> &CP) {
+void Scheduler::driverLoop(const std::shared_ptr<Core> &CP, bool Caller) {
   Core &C = *CP;
   std::unique_lock<std::mutex> Lock(C.Mu);
   for (;;) {
@@ -258,21 +313,31 @@ void Scheduler::driverLoop(const std::shared_ptr<Core> &CP) {
         continue; // stale queue entry
       G->St = Green::State::Running;
       ++C.Switches;
-      C.M.Switches->add(1);
       ++C.ActiveSlices;
-      C.gauges();
       Lock.unlock();
+      auto T0 = std::chrono::steady_clock::now();
       runSlice(C, *G);
+      C.M.SliceMicros->record(uint64_t(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - T0)
+              .count()));
       Lock.lock();
       --C.ActiveSlices;
-      if (C.ActiveSlices == 0)
-        // Quiescence may be decidable now — every waiter must re-check.
-        C.Cv.notify_all();
+      if (C.ActiveSlices == 0 && C.RunQ.empty() && C.CallerAsleep)
+        // Quiescence is decidable now, and only the caller decides it.
+        C.Cv.notify_one();
+      C.publishGauges();
       continue;
     }
+    if (!Caller)
+      break; // nothing to take: give the pool worker back
     if (C.ActiveSlices > 0) {
-      // Another driver's slice may enqueue work (or finish the schedule).
-      C.Cv.wait(Lock);
+      // A helper's slice may enqueue work (or finish the schedule).
+      C.CallerAsleep = true;
+      C.Cv.wait(Lock, [&C] {
+        return C.Finished || !C.RunQ.empty() || C.ActiveSlices == 0;
+      });
+      C.CallerAsleep = false;
       continue;
     }
     // Quiescent: nothing runnable, nothing running.
@@ -285,7 +350,7 @@ void Scheduler::driverLoop(const std::shared_ptr<Core> &CP) {
         if (Green *G = C.get(Tid))
           C.wake(*G, {});
       }
-      C.gauges();
+      C.publishGauges();
       continue;
     }
     if (C.Live > 0) {
@@ -297,23 +362,19 @@ void Scheduler::driverLoop(const std::shared_ptr<Core> &CP) {
       break;
     }
     // Every thread halted: the schedule completed.
-    if (!C.Finished) {
-      C.Finished = true;
-      C.Status = MachineStatus::Halted;
-      if (Green *Main = C.get(1))
-        C.MainResults = Main->Results;
-      C.Cv.notify_all();
-    }
+    C.Finished = true;
+    C.Status = MachineStatus::Halted;
+    if (Green *Main = C.get(1))
+      C.MainResults = Main->Results;
     break;
   }
-  C.Cv.notify_all();
+  if (!Caller)
+    --C.Helpers;
 }
 
 void Scheduler::runSlice(Core &C, Green &G) {
-  auto T0 = std::chrono::steady_clock::now();
   Executor &M = *G.M;
   uint64_t Fuel = C.Opts.SliceFuel;
-  bool Requeue = false; // cooperative yield: back of the queue
 
   auto Spend = [&] {
     // Charge transitions executed since the last checkpoint against the
@@ -359,8 +420,7 @@ void Scheduler::runSlice(Core &C, Green &G) {
       }
       C.retire(G);
       C.StepsTotal += G.Steps;
-      C.gauges();
-      break;
+      return;
     }
 
     if (St == MachineStatus::Running) {
@@ -375,12 +435,8 @@ void Scheduler::runSlice(Core &C, Green &G) {
                SourceLoc(), false, /*Fuel=*/true);
         return;
       }
-      G.St = Green::State::Runnable;
-      G.Pend = Green::Pending::Continue;
-      C.RunQ.push_back(G.Tid);
-      C.Cv.notify_one();
-      C.gauges();
-      break;
+      C.requeue(G);
+      return;
     }
 
     // Suspended: decode and service the request.
@@ -396,13 +452,9 @@ void Scheduler::runSlice(Core &C, Green &G) {
       if (D == DispatchResult::Handled) {
         // Handled but out of fuel: back of the queue.
         std::lock_guard<std::mutex> Lock(C.Mu);
-        if (C.Finished)
-          return;
-        G.St = Green::State::Runnable;
-        C.RunQ.push_back(G.Tid);
-        C.Cv.notify_one();
-        C.gauges();
-        break;
+        if (!C.Finished)
+          C.requeue(G);
+        return;
       }
       if (M.status() == MachineStatus::Wrong)
         continue; // the dispatcher went wrong; report that reason
@@ -416,59 +468,34 @@ void Scheduler::runSlice(Core &C, Green &G) {
     }
 
     std::vector<Value> Params;
-    bool KeepRunning;
     {
       std::lock_guard<std::mutex> Lock(C.Mu);
       if (C.Finished)
         return;
-      KeepRunning = handleRequest(C, G, Params);
-      if (G.St == Green::State::Running && !KeepRunning) {
-        // handleRequest decided park (state already Parked) or requeue —
-        // requeue is signalled by leaving the thread Running with a
-        // pending resume; translate that here.
-        Requeue = true;
-        G.St = Green::State::Runnable;
+      bool KeepRunning = handleRequest(C, G, Req, Params);
+      if (C.Finished || G.St == Green::State::Parked)
+        return;
+      if (!KeepRunning || Fuel == 0) {
+        // A cooperative yield, or a resume in place granted with the slice
+        // spent: carry the resume parameters to the next slice.
         G.Pend = Green::Pending::Resume;
         G.ResumeParams = std::move(Params);
-        C.RunQ.push_back(G.Tid);
-        C.Cv.notify_one();
-      }
-      C.gauges();
-    }
-    if (!KeepRunning)
-      break;
-    if (Fuel == 0) {
-      // Resume-in-place granted but the slice is spent: carry the resume
-      // parameters to the next slice instead.
-      std::lock_guard<std::mutex> Lock(C.Mu);
-      if (C.Finished)
+        C.requeue(G);
         return;
-      G.St = Green::State::Runnable;
-      G.Pend = Green::Pending::Resume;
-      G.ResumeParams = std::move(Params);
-      C.RunQ.push_back(G.Tid);
-      C.Cv.notify_one();
-      C.gauges();
-      break;
+      }
     }
     G.Pend = Green::Pending::Resume;
     G.ResumeParams = std::move(Params);
   }
-
-  (void)Requeue;
-  C.M.SliceMicros->record(uint64_t(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - T0)
-          .count()));
 }
 
 /// Lock held. Returns true to resume \p G in place with \p Params; false
 /// when the thread parked (G.St == Parked), must be requeued (G.St left
 /// Running, Params are the eventual resume values), or the schedule
 /// failed (C.Finished).
-bool Scheduler::handleRequest(Core &C, Green &G, std::vector<Value> &Params) {
+bool Scheduler::handleRequest(Core &C, Green &G, const SchedRequest &Req,
+                              std::vector<Value> &Params) {
   Executor &M = *G.M;
-  SchedRequest Req = readSchedRequest(M);
   auto Park = [&] {
     G.St = Green::State::Parked;
     ++C.Parked;
@@ -498,12 +525,10 @@ bool Scheduler::handleRequest(Core &C, Green &G, std::vector<Value> &Params) {
     NG->StartProc = Prog.Names->spelling(Prog.Procs[Idx]->Name);
     NG->StartArgs.assign(Req.Operands.begin() + 1, Req.Operands.end());
     uint64_t Tid = NG->Tid;
-    C.RunQ.push_back(Tid);
     C.Threads.emplace(Tid, std::move(NG));
     ++C.Live;
     ++C.Spawned;
-    C.M.Spawned->add(1);
-    C.Cv.notify_one();
+    C.push(Tid);
     Params = {Value::bits(32, Tid)};
     return true;
   }
@@ -515,7 +540,6 @@ bool Scheduler::handleRequest(Core &C, Green &G, std::vector<Value> &Params) {
         !Req.Operands.empty() && Req.Operands[0].isBits() ? Req.Operands[0].Raw
                                                           : 0;
     ++C.TimerWaits;
-    C.M.TimerWaits->add(1);
     if (Ticks == 0) {
       Params.clear();
       return false; // sleep(0) is a plain yield
@@ -543,7 +567,6 @@ bool Scheduler::handleRequest(Core &C, Green &G, std::vector<Value> &Params) {
     Channel &Ch = It->second;
     Value V = Req.Operands[1];
     ++C.Sends;
-    C.M.Sends->add(1);
     // Hand off directly to the oldest parked receiver if any; otherwise
     // queue if there is room; otherwise park.
     while (!Ch.RecvWaiters.empty()) {
@@ -573,7 +596,6 @@ bool Scheduler::handleRequest(Core &C, Green &G, std::vector<Value> &Params) {
       return Fail("receive on unknown channel");
     Channel &Ch = It->second;
     ++C.Recvs;
-    C.M.Recvs->add(1);
     if (!Ch.Q.empty()) {
       Value V = Ch.Q.front();
       Ch.Q.pop_front();
@@ -602,7 +624,7 @@ bool Scheduler::handleRequest(Core &C, Green &G, std::vector<Value> &Params) {
       return Fail("join on unknown thread " +
                   std::to_string(Req.Operands.empty() ? 0
                                                       : Req.Operands[0].Raw));
-    C.M.Joins->add(1);
+    ++C.Joins;
     if (T->St == Green::State::Done) {
       Params = {T->Results.empty() ? Value::bits(32, 0) : T->Results[0]};
       return true;

@@ -13,18 +13,27 @@
 /// sleep, bounded channels (send/recv park the green thread when full/
 /// empty), join, and self.
 ///
-/// Execution model — driver participation. run() submits up to Drivers-1
-/// driver tasks through the caller-supplied submit hook (the engine passes
-/// its work-stealing ThreadPool) and then drives the schedule on the
-/// calling thread too. Every driver loops: pop a runnable thread, run one
-/// fuel-bounded slice outside the scheduler lock, service the resulting
-/// suspension under it, repeat. This shape never blocks a pool worker on a
-/// task that has not started (the pool's contract, engine/ThreadPool.h):
-/// the calling driver alone can always finish the schedule, and a driver
-/// task that starts late — even after run() returned — finds the schedule
-/// finished and exits without touching anything but the shared core. A
-/// parked thread woken by one driver may run its next slice on any other:
-/// cross-thread resume is the normal case, not a special one.
+/// Execution model — driver participation. The calling thread drives the
+/// schedule; it is the one driver that can always finish it, and it alone
+/// waits for work, advances virtual time, and decides completion and
+/// deadlock. Helper drivers are started on demand through the caller-
+/// supplied submit hook (the engine passes its work-stealing ThreadPool),
+/// only while more threads are runnable than the live drivers will take
+/// next, and at most Drivers-1 at once; a helper that finds nothing to take
+/// exits and gives its pool worker back. A push onto the run queue wakes
+/// the sleeping caller only when the queue holds more threads than the
+/// pushing driver takes next, and the end of a slice wakes it only when the
+/// queue is empty and no other slice runs (quiescence is decidable). Every
+/// driver loops: pop a runnable thread, run one fuel-bounded slice outside
+/// the scheduler lock, service the resulting suspension under it, repeat.
+/// This shape never blocks a pool worker on a task that has not started
+/// (the pool's contract, engine/ThreadPool.h), and a helper that starts
+/// late — even after run() returned — finds the schedule finished and
+/// exits without touching anything but the shared core. A parked thread
+/// woken by one driver may run its next slice on any other: cross-thread
+/// resume is the normal case, not a special one. A strictly serial
+/// schedule (a ping-pong) starts no helper at all, and a token ring starts
+/// helpers only while it spawns its nodes.
 ///
 /// Invariants (tests/SchedTest.cpp pins these):
 ///   - A schedule completes when every green thread has Halted; the main
@@ -63,14 +72,20 @@
 #include <string>
 #include <vector>
 
+namespace cmm {
+struct SchedRequest;
+} // namespace cmm
+
 namespace cmm::sched {
 
 struct SchedOptions {
   /// Abstract-machine transitions per run slice (the cooperative quantum).
   uint64_t SliceFuel = 1 << 14;
-  /// Host drivers, including the calling thread; extra drivers run on the
-  /// submit hook. Clamped to at least 1. More drivers than runnable
-  /// threads is wasted but harmless.
+  /// Upper bound on host drivers, including the calling thread. Up to
+  /// Drivers-1 helpers run on the submit hook, each started only while more
+  /// threads are runnable than the live drivers take, so a schedule with
+  /// no parallel work runs on the calling thread alone. Clamped to at
+  /// least 1.
   unsigned Drivers = 1;
   /// Spawn guard: a spawn beyond this many live threads fails the
   /// schedule (a runaway spawner must be loud, not an OOM).
@@ -114,7 +129,9 @@ public:
   /// ProgramArtifact::newExecutor; tests pass makeExecutor over a shared
   /// program). Must be callable from any driver concurrently.
   using ExecutorFactory = std::function<std::unique_ptr<Executor>()>;
-  /// Hands a driver task to the host's pool. Must never block; the task
+  /// Hands a helper driver task to the host's pool. Called only before
+  /// run() returns, possibly from a pool worker, with the schedule's lock
+  /// held: it must never block and must not run the task inline. The task
   /// may run at any later time, or only after run() returns. Empty means
   /// single-driver regardless of SchedOptions::Drivers.
   using SubmitFn = std::function<void(std::function<void()>)>;
@@ -123,14 +140,16 @@ public:
   /// in MetricsRegistry::null() otherwise — the sched.* catalog
   /// (docs/OBSERVABILITY.md): threads_spawned, threads_live, runnable,
   /// parked, context_switches, chan_sends, chan_recvs, timer_waits,
-  /// joins, deadlocks, runs, run_slice_micros.
+  /// joins, deadlocks, runs, run_slice_micros. Counters are added once,
+  /// when a schedule ends; gauges move by deltas, and a schedule that ends
+  /// by any outcome withdraws what it still holds.
   Scheduler(ExecutorFactory Factory, SchedOptions Opts = {},
             SubmitFn Submit = {}, MetricsRegistry *Reg = nullptr);
 
   /// Runs Entry(Args) as green thread 1 and drives the schedule to
-  /// completion on the calling thread (plus up to Drivers-1 submitted
-  /// drivers). Returns when the schedule finished; stragglers among the
-  /// submitted driver tasks are self-cleaning no-ops.
+  /// completion on the calling thread (plus up to Drivers-1 helpers started
+  /// on demand). Returns when the schedule finished; helpers that start
+  /// later are self-cleaning no-ops.
   SchedResult run(std::string_view Entry, std::vector<Value> Args = {});
 
 private:
@@ -146,13 +165,15 @@ private:
     Histogram *SliceMicros;
   };
 
-  static void driverLoop(const std::shared_ptr<Core> &C);
+  /// One driver: the calling thread (\p Caller) or a helper.
+  static void driverLoop(const std::shared_ptr<Core> &C, bool Caller);
   static void runSlice(Core &C, Green &G);
   /// Services one decoded scheduler request (under the core lock).
   /// Returns true when \p G should keep running in the current slice
   /// (resume-in-place with \p Params), false when it parked / requeued /
   /// the schedule failed.
-  static bool handleRequest(Core &C, Green &G, std::vector<Value> &Params);
+  static bool handleRequest(Core &C, Green &G, const SchedRequest &Req,
+                            std::vector<Value> &Params);
 
   ExecutorFactory Factory;
   SchedOptions Opts;
