@@ -17,10 +17,11 @@
 //    prices thread creation (fresh isolated Memory per thread) plus the
 //    join rendezvous.
 //
-//  - sched/relay/<drivers>: the 16-worker relay pipeline under 1 and 2
-//    drivers — the work-stealing configuration. Observables are identical
-//    across driver counts (tests/SchedSoakTest.cpp pins this); the wall
-//    clock difference is what host parallelism buys a channel-bound load.
+//  - sched/relay/<drivers>: the 16-worker relay pipeline under 1, 2 and 4
+//    drivers. Observables are identical across driver counts
+//    (tests/SchedSoakTest.cpp pins this); the wall clock difference is what
+//    host parallelism buys a channel-bound load whose every channel
+//    operation takes the one scheduler lock.
 //
 //===----------------------------------------------------------------------===//
 
@@ -279,6 +280,7 @@ void registerAll() {
   benchmark::RegisterBenchmark("sched/relay", relay)
       ->Arg(1)
       ->Arg(2)
+      ->Arg(4)
       ->Unit(benchmark::kMillisecond)
       ->UseRealTime();
 }

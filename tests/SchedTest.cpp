@@ -6,7 +6,10 @@
 // slice-fuel split, on all three backends; scheduled-vs-direct parity (a
 // computation's results under the scheduler equal its direct run); Wrong
 // propagation; loud deadlock detection; virtual-time sleeps; the >= 10k
-// green-thread acceptance workload; and the engine's Job::Sched embedding.
+// green-thread acceptance workload; the driver policy (a serial schedule
+// starts no helper driver, an exception-raising ring gives the same
+// observables at every driver count); and the engine's Job::Sched
+// embedding, whose gauges drain after schedules that fail.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +19,9 @@
 #include "engine/Engine.h"
 #include "rts/SchedFormat.h"
 #include "sched/Scheduler.h"
+
+#include <chrono>
+#include <thread>
 
 using namespace cmm;
 using namespace cmm::sched;
@@ -164,6 +170,104 @@ std::string fanInDirectSource() {
          "  sum = sum + i;\n"
          "  i = i + 1;\n"
          "  goto loop;\n"
+         "}\n";
+}
+
+/// Two threads bounce a token through a pair of capacity-1 channels for n
+/// rounds: at most one thread is ever runnable, so the schedule is strictly
+/// serial whatever the driver count.
+std::string pingPongSource() {
+  return "export main;\n"
+         "ponger(bits32 cin, bits32 cout) {\n"
+         "  bits32 v;\n"
+         "loop:\n"
+         "  v = yield(" + T(SchedTagChanRecv) + ", cin);\n"
+         "  if v == 0 { return (0); }\n"
+         "  yield(" + T(SchedTagChanSend) + ", cout, v + 1);\n"
+         "  goto loop;\n"
+         "}\n"
+         "main(bits32 n) {\n"
+         "  bits32 a, b, t, i, v;\n"
+         "  a = yield(" + T(SchedTagChanNew) + ", 1);\n"
+         "  b = yield(" + T(SchedTagChanNew) + ", 1);\n"
+         "  t = yield(" + T(SchedTagSpawn) + ", ponger, a, b);\n"
+         "  i = 0;\n"
+         "  v = 1;\n"
+         "loop:\n"
+         "  if i == n { goto fin; }\n"
+         "  yield(" + T(SchedTagChanSend) + ", a, v);\n"
+         "  v = yield(" + T(SchedTagChanRecv) + ", b);\n"
+         "  i = i + 1;\n"
+         "  goto loop;\n"
+         "fin:\n"
+         "  yield(" + T(SchedTagChanSend) + ", a, 0);\n"
+         "  t = yield(" + T(SchedTagJoin) + ", t);\n"
+         "  return (v);\n"
+         "}\n";
+}
+
+/// A token passes `rounds` times around a ring of k green threads over
+/// capacity-1 channels (main is node 0). Every hop adds bench(depth, raise)
+/// to the token, where bench is the dispatch workload of one exception
+/// technique linked in as a second module, raising and handling an
+/// exception when the token is a multiple of p. Only the token's holder is
+/// runnable except while main spawns the ring.
+std::string exceptionRingSource() {
+  return "import bench;\n"
+         "export main;\n"
+         "data ring { bits32[64]; }\n"
+         "hop(bits32 v, bits32 p, bits32 depth) {\n"
+         "  bits32 r;\n"
+         "  if %modu(v, p) == 0 {\n"
+         "    r = bench(depth, 1);\n"
+         "  } else {\n"
+         "    r = bench(depth, 0);\n"
+         "  }\n"
+         "  return (v + r);\n"
+         "}\n"
+         "node(bits32 cin, bits32 cout, bits32 p, bits32 depth) {\n"
+         "  bits32 v;\n"
+         "loop:\n"
+         "  v = yield(" + T(SchedTagChanRecv) + ", cin);\n"
+         "  if v == 4294967295 {\n"
+         "    yield(" + T(SchedTagChanSend) + ", cout, v);\n"
+         "    return (0);\n"
+         "  }\n"
+         "  v = hop(v, p, depth);\n"
+         "  yield(" + T(SchedTagChanSend) + ", cout, v);\n"
+         "  goto loop;\n"
+         "}\n"
+         "main(bits32 k, bits32 rounds, bits32 p, bits32 depth) {\n"
+         "  bits32 i, c, t, v;\n"
+         "  i = 0;\n"
+         "mkchan:\n"
+         "  if i == k { goto spawn; }\n"
+         "  c = yield(" + T(SchedTagChanNew) + ", 1);\n"
+         "  bits32[ring + i * 4] = c;\n"
+         "  i = i + 1;\n"
+         "  goto mkchan;\n"
+         "spawn:\n"
+         "  i = 1;\n"
+         "spawnloop:\n"
+         "  if i == k { goto run; }\n"
+         "  t = yield(" + T(SchedTagSpawn) + ", node, bits32[ring + i * 4],\n"
+         "            bits32[ring + %modu(i + 1, k) * 4], p, depth);\n"
+         "  i = i + 1;\n"
+         "  goto spawnloop;\n"
+         "run:\n"
+         "  v = 0;\n"
+         "  i = 0;\n"
+         "round:\n"
+         "  if i == rounds { goto stop; }\n"
+         "  yield(" + T(SchedTagChanSend) + ", bits32[ring + 4], v);\n"
+         "  v = yield(" + T(SchedTagChanRecv) + ", bits32[ring]);\n"
+         "  v = hop(v, p, depth);\n"
+         "  i = i + 1;\n"
+         "  goto round;\n"
+         "stop:\n"
+         "  yield(" + T(SchedTagChanSend) + ", bits32[ring + 4], 4294967295);\n"
+         "  t = yield(" + T(SchedTagChanRecv) + ", bits32[ring]);\n"
+         "  return (v);\n"
          "}\n";
 }
 
@@ -327,6 +431,63 @@ TEST(SchedTest, TenThousandGreenThreadsComplete) {
   EXPECT_EQ(Many.StepsTotal, One.StepsTotal);
 }
 
+void expectSameStats(const Stats &A, const Stats &B, const std::string &What) {
+  EXPECT_EQ(A.Steps, B.Steps) << What;
+  EXPECT_EQ(A.Calls, B.Calls) << What;
+  EXPECT_EQ(A.Jumps, B.Jumps) << What;
+  EXPECT_EQ(A.Returns, B.Returns) << What;
+  EXPECT_EQ(A.Cuts, B.Cuts) << What;
+  EXPECT_EQ(A.FramesCutOver, B.FramesCutOver) << What;
+  EXPECT_EQ(A.Yields, B.Yields) << What;
+  EXPECT_EQ(A.UnwindPops, B.UnwindPops) << What;
+  EXPECT_EQ(A.ContsBound, B.ContsBound) << What;
+  EXPECT_EQ(A.Loads, B.Loads) << What;
+  EXPECT_EQ(A.Stores, B.Stores) << What;
+  EXPECT_EQ(A.CalleeSaveMoves, B.CalleeSaveMoves) << What;
+  EXPECT_EQ(A.MaxStackDepth, B.MaxStackDepth) << What;
+}
+
+TEST_P(SchedBackendTest, ExceptionRingSameAtEveryDriverCount) {
+  // The green_relay guest's shape: one runnable thread at a time except
+  // while main spawns the ring, and an exception raised and handled on
+  // every third hop, under each technique. Helpers come and go with the
+  // spawn phase; the observables must not notice.
+  const uint32_t K = 16, Rounds = 4, P = 3, Depth = 4;
+  uint32_t Want = 0;
+  for (uint32_t H = 0; H < K * Rounds; ++H)
+    Want += Want % P == 0 ? 1099u : 1u;
+
+  engine::ThreadPool Pool(4);
+  auto Submit = [&Pool](std::function<void()> Task) {
+    Pool.submit(std::move(Task));
+  };
+  for (DispatchTechnique Tech : AllDispatchTechniques) {
+    std::string Name = dispatchTechniqueName(Tech);
+    std::unique_ptr<IrProgram> Prog = cmm::test::compile(
+        {dispatchWorkloadSource(Tech), exceptionRingSource()});
+    ASSERT_TRUE(Prog) << Name;
+    SchedOptions O;
+    O.Exn = runtimeDispatcher(Tech);
+    std::vector<Value> Args = {b32(K), b32(Rounds), b32(P), b32(Depth)};
+    SchedResult One = runSched(*Prog, GetParam(), O, "main", Args);
+    ASSERT_TRUE(One.ok()) << Name << ": " << One.WrongReason;
+    EXPECT_EQ(One.Results, std::vector<Value>{b32(Want)}) << Name;
+    EXPECT_EQ(One.ThreadsSpawned, K) << Name;
+    for (unsigned Drivers : {2u, 4u}) {
+      std::string What = Name + " drivers=" + std::to_string(Drivers);
+      O.Drivers = Drivers;
+      SchedResult Many = runSched(*Prog, GetParam(), O, "main", Args, Submit);
+      ASSERT_TRUE(Many.ok()) << What << ": " << Many.WrongReason;
+      EXPECT_EQ(Many.Results, One.Results) << What;
+      EXPECT_EQ(Many.StepsTotal, One.StepsTotal) << What;
+      EXPECT_EQ(Many.ChanSends, One.ChanSends) << What;
+      EXPECT_EQ(Many.ChanRecvs, One.ChanRecvs) << What;
+      EXPECT_EQ(Many.ThreadsSpawned, One.ThreadsSpawned) << What;
+      expectSameStats(Many.MachineStats, One.MachineStats, What);
+    }
+  }
+}
+
 TEST(SchedTest, SpawnGuardFailsLoudly) {
   std::unique_ptr<IrProgram> Prog = cmm::test::compile({fanInSource()});
   ASSERT_TRUE(Prog);
@@ -432,6 +593,91 @@ TEST(SchedTest, EngineReportsScheduledDeadlock) {
   EXPECT_TRUE(R.Deadlocked);
   EXPECT_EQ(R.Status, MachineStatus::Running);
   EXPECT_EQ(Eng.metrics().counter("sched.deadlocks").value(), 1u);
+  // The failed schedule withdrew its parked main thread from the gauges.
+  EXPECT_EQ(Eng.metrics().gauge("sched.threads_live").value(), 0);
+  EXPECT_EQ(Eng.metrics().gauge("sched.runnable").value(), 0);
+  EXPECT_EQ(Eng.metrics().gauge("sched.parked").value(), 0);
+}
+
+TEST(SchedTest, GaugesDrainAfterConcurrentFailedSchedules) {
+  // Schedules that go wrong, run out of fuel or deadlock share the gauges
+  // with one that halts; each moves them by its own deltas and withdraws
+  // what it still holds when it ends.
+  engine::EngineOptions EO;
+  EO.Threads = 4;
+  engine::Engine Eng(EO);
+  auto Make = [](std::string Src, std::vector<Value> Args) {
+    engine::Job J;
+    J.Request.Sources = {std::move(Src)};
+    J.B = engine::Backend::Vm;
+    J.Args = std::move(Args);
+    J.Sched.Enabled = true;
+    J.Sched.Drivers = 2;
+    J.Sched.SliceFuel = 64;
+    return J;
+  };
+  engine::Job Fuel = Make(fanInSource(), {b32(100)});
+  Fuel.MaxSteps = 200;
+  std::vector<engine::Job> Jobs = {
+      Make(wrongWorkerSource(), {}), Fuel, Make(deadlockSource(), {}),
+      Make(fanInSource(), {b32(300)})};
+  std::vector<engine::JobResult> Rs = Eng.run(Jobs);
+  EXPECT_EQ(Rs[0].Status, MachineStatus::Wrong);
+  EXPECT_EQ(Rs[1].Status, MachineStatus::Running);
+  EXPECT_TRUE(Rs[2].Deadlocked);
+  ASSERT_TRUE(Rs[3].ok()) << Rs[3].WrongReason;
+  EXPECT_EQ(Rs[3].Results, std::vector<Value>{b32(300 * 299 / 2)});
+
+  EXPECT_EQ(Eng.metrics().counter("sched.runs").value(), 4u);
+  EXPECT_EQ(Eng.metrics().counter("sched.deadlocks").value(), 1u);
+  auto ExpectDrained = [&Eng](const char *What) {
+    EXPECT_EQ(Eng.metrics().gauge("sched.threads_live").value(), 0) << What;
+    EXPECT_EQ(Eng.metrics().gauge("sched.runnable").value(), 0) << What;
+    EXPECT_EQ(Eng.metrics().gauge("sched.parked").value(), 0) << What;
+  };
+  ExpectDrained("concurrent");
+
+  // Alone, each failed schedule is the last to move the gauges.
+  for (size_t I = 0; I < 3; ++I) {
+    EXPECT_FALSE(Eng.runJob(Jobs[I]).ok());
+    ExpectDrained(I == 0 ? "wrong" : I == 1 ? "fuel" : "deadlock");
+  }
+}
+
+/// pool.tasks_executed once \p Eng's pool has dequeued everything queued.
+uint64_t tasksExecutedWhenIdle(engine::Engine &Eng) {
+  for (int I = 0; I < 5000 && Eng.pool().queuedApprox() > 0; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return Eng.metrics().counter("pool.tasks_executed").value();
+}
+
+TEST(SchedTest, SerialScheduleStartsNoHelperDriver) {
+  // A ping-pong never has more than one runnable thread, so Drivers = 4
+  // must cost no pool task at all; a fan-in's spawn burst must start one.
+  engine::EngineOptions EO;
+  EO.Threads = 4;
+  engine::Engine Eng(EO);
+  auto Run = [&Eng](std::string Src, uint32_t N) {
+    engine::Job J;
+    J.Request.Sources = {std::move(Src)};
+    J.B = engine::Backend::Vm;
+    J.Args = {b32(N)};
+    J.Sched.Enabled = true;
+    J.Sched.Drivers = 4;
+    J.Artifact = Eng.compile(J.Request);
+    uint64_t Before = tasksExecutedWhenIdle(Eng);
+    engine::JobResult R = Eng.runJob(J);
+    EXPECT_TRUE(R.ok()) << R.CompileError << R.WrongReason;
+    return std::make_pair(R, tasksExecutedWhenIdle(Eng) - Before);
+  };
+
+  auto [Serial, SerialTasks] = Run(pingPongSource(), 200);
+  EXPECT_EQ(Serial.Results, std::vector<Value>{b32(201)});
+  EXPECT_EQ(SerialTasks, 0u);
+
+  auto [FanIn, FanInTasks] = Run(fanInSource(), 50);
+  EXPECT_EQ(FanIn.Results, std::vector<Value>{b32(50 * 49 / 2)});
+  EXPECT_GE(FanInTasks, 1u);
 }
 
 } // namespace
