@@ -351,7 +351,7 @@ struct IlPrinter {
       const auto &C = static_cast<const CallNode &>(N);
       Out += " call";
       expr(C.Callee);
-      auto Refs = [&](const std::vector<Node *> &V) {
+      auto Refs = [&](std::span<Node *const> V) {
         f(" %zu", V.size());
         for (const Node *T : V)
           nodeRef(T);
@@ -363,7 +363,7 @@ struct IlPrinter {
       f(" %zu", C.Descriptors.size());
       for (const Expr *E : C.Descriptors)
         expr(E);
-      auto Names = [&](const std::vector<Symbol> &V) {
+      auto Names = [&](std::span<const Symbol> V) {
         f(" %zu", V.size());
         for (Symbol S : V)
           sym(S);
@@ -576,7 +576,7 @@ struct IlParser {
   // Per-proc state.
   std::vector<Expr *> Exprs;
   std::vector<uint8_t> Adopted;
-  /// The current proc's ExprPool, which owns its expressions.
+  /// The current proc's arena, which owns its expressions.
   AstArena *Pool = nullptr;
   std::vector<std::pair<uint32_t, uint64_t>> PendingStrAddrs;
 
@@ -640,7 +640,7 @@ struct IlParser {
       T.fail("node reference out of range: " + S);
       return nullptr;
     }
-    return Proc.Nodes[size_t(I)].get();
+    return Proc.Nodes[size_t(I)];
   }
   uint32_t exprIndex() {
     std::string S = T.next();
@@ -662,6 +662,29 @@ struct IlParser {
   Expr *expr() {
     uint32_t I = exprIndex();
     return I == ~0u ? nullptr : Exprs[I];
+  }
+  /// Counted lists, built in \p Proc's arena as they parse: the count is
+  /// untrusted text, so nothing is reserved from it.
+  std::span<Node *> nodeRefs(IrProc &Proc) {
+    uint64_t K = T.u64();
+    ArenaListBuilder<Node *> L(Proc.Arena);
+    for (uint64_t I = 0; I < K && T.Ok; ++I)
+      L.push_back(nodeRef(Proc));
+    return L.finish();
+  }
+  std::span<Symbol> syms(IrProc &Proc) {
+    uint64_t K = T.u64();
+    ArenaListBuilder<Symbol> L(Proc.Arena);
+    for (uint64_t I = 0; I < K && T.Ok; ++I)
+      L.push_back(sym());
+    return L.finish();
+  }
+  std::span<const Expr *> exprs(IrProc &Proc) {
+    uint64_t K = T.u64();
+    ArenaListBuilder<const Expr *> L(Proc.Arena);
+    for (uint64_t I = 0; I < K && T.Ok; ++I)
+      L.push_back(expr());
+    return L.finish();
   }
   Expr *adopt() {
     uint32_t I = exprIndex();
@@ -876,11 +899,13 @@ struct IlParser {
     case Node::Kind::Entry: {
       auto &E = static_cast<EntryNode &>(N);
       uint64_t C = T.u64();
+      ArenaListBuilder<std::pair<Symbol, Node *>> Conts(Proc.Arena);
       for (uint64_t I = 0; I < C && T.Ok; ++I) {
         Symbol S = sym();
         Node *Tgt = nodeRef(Proc);
-        E.Conts.emplace_back(S, Tgt);
+        Conts.push_back({S, Tgt});
       }
+      E.Conts = Conts.finish();
       E.Next = nodeRef(Proc);
       break;
     }
@@ -892,25 +917,19 @@ struct IlParser {
     }
     case Node::Kind::CopyIn: {
       auto &C = static_cast<CopyInNode &>(N);
-      uint64_t K = T.u64();
-      for (uint64_t I = 0; I < K && T.Ok; ++I)
-        C.Vars.push_back(sym());
+      C.Vars = syms(Proc);
       C.Next = nodeRef(Proc);
       break;
     }
     case Node::Kind::CopyOut: {
       auto &C = static_cast<CopyOutNode &>(N);
-      uint64_t K = T.u64();
-      for (uint64_t I = 0; I < K && T.Ok; ++I)
-        C.Exprs.push_back(expr());
+      C.Exprs = exprs(Proc);
       C.Next = nodeRef(Proc);
       break;
     }
     case Node::Kind::CalleeSaves: {
       auto &C = static_cast<CalleeSavesNode &>(N);
-      uint64_t K = T.u64();
-      for (uint64_t I = 0; I < K && T.Ok; ++I)
-        C.Saved.push_back(sym());
+      C.Saved = syms(Proc);
       C.Next = nodeRef(Proc);
       break;
     }
@@ -940,27 +959,15 @@ struct IlParser {
     case Node::Kind::Call: {
       auto &C = static_cast<CallNode &>(N);
       C.Callee = expr();
-      auto Refs = [&](std::vector<Node *> &V) {
-        uint64_t K = T.u64();
-        for (uint64_t I = 0; I < K && T.Ok; ++I)
-          V.push_back(nodeRef(Proc));
-      };
-      Refs(C.Bundle.ReturnsTo);
-      Refs(C.Bundle.UnwindsTo);
-      Refs(C.Bundle.CutsTo);
+      C.Bundle.ReturnsTo = nodeRefs(Proc);
+      C.Bundle.UnwindsTo = nodeRefs(Proc);
+      C.Bundle.CutsTo = nodeRefs(Proc);
       C.Bundle.Abort = T.u64() != 0;
       C.NumArgs = unsigned(T.u64());
-      uint64_t D = T.u64();
-      for (uint64_t I = 0; I < D && T.Ok; ++I)
-        C.Descriptors.push_back(expr());
-      auto Names = [&](std::vector<Symbol> &V) {
-        uint64_t K = T.u64();
-        for (uint64_t I = 0; I < K && T.Ok; ++I)
-          V.push_back(sym());
-      };
-      Names(C.ReturnsToNames);
-      Names(C.UnwindsToNames);
-      Names(C.CutsToNames);
+      C.Descriptors = exprs(Proc);
+      C.ReturnsToNames = syms(Proc);
+      C.UnwindsToNames = syms(Proc);
+      C.CutsToNames = syms(Proc);
       if (T.Ok && C.Bundle.ReturnsTo.empty())
         T.fail("call bundle with no normal-return continuation");
       break;
@@ -975,12 +982,8 @@ struct IlParser {
       auto &C = static_cast<CutToNode &>(N);
       C.Cont = expr();
       C.NumArgs = unsigned(T.u64());
-      uint64_t K = T.u64();
-      for (uint64_t I = 0; I < K && T.Ok; ++I)
-        C.AlsoCutsTo.push_back(nodeRef(Proc));
-      uint64_t M = T.u64();
-      for (uint64_t I = 0; I < M && T.Ok; ++I)
-        C.AlsoCutsToNames.push_back(sym());
+      C.AlsoCutsTo = nodeRefs(Proc);
+      C.AlsoCutsToNames = syms(Proc);
       break;
     }
     case Node::Kind::Yield:
@@ -1020,6 +1023,7 @@ struct IlParser {
 
   bool parseProc() {
     auto Proc = std::make_unique<IrProc>(&P.Memory);
+    Proc->Index = static_cast<uint32_t>(P.Procs.size());
     Proc->Name = sym();
     while (T.accept("param")) {
       Type Ty = type();
@@ -1034,7 +1038,7 @@ struct IlParser {
     }
     Exprs.clear();
     Adopted.clear();
-    Pool = &Proc->ExprPool;
+    Pool = &Proc->Arena;
     PendingStrAddrs.clear();
     while (T.accept("expr"))
       parseExprLine();

@@ -20,7 +20,7 @@ std::string ref(const Node *N) {
   return "n" + std::to_string(N->Id);
 }
 
-std::string symList(const std::vector<Symbol> &Syms, const Interner &Names) {
+std::string symList(std::span<const Symbol> Syms, const Interner &Names) {
   std::string Out;
   for (size_t I = 0; I < Syms.size(); ++I) {
     if (I)
@@ -30,7 +30,7 @@ std::string symList(const std::vector<Symbol> &Syms, const Interner &Names) {
   return Out;
 }
 
-std::string exprList(const std::vector<const Expr *> &Exprs,
+std::string exprList(std::span<const Expr *const> Exprs,
                      const Interner &Names) {
   std::string Out;
   for (size_t I = 0; I < Exprs.size(); ++I) {

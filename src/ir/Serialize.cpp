@@ -307,7 +307,7 @@ struct IrWriter {
     case Node::Kind::Call: {
       const auto &C = static_cast<const CallNode &>(N);
       expr(C.Callee);
-      auto Refs = [&](const std::vector<Node *> &V) {
+      auto Refs = [&](std::span<Node *const> V) {
         Body.u64(V.size());
         for (const Node *T : V)
           nodeRef(T);
@@ -320,7 +320,7 @@ struct IrWriter {
       Body.u64(C.Descriptors.size());
       for (const Expr *E : C.Descriptors)
         expr(E);
-      auto Names = [&](const std::vector<Symbol> &V) {
+      auto Names = [&](std::span<const Symbol> V) {
         Body.u64(V.size());
         for (Symbol S : V)
           sym(S);
@@ -436,7 +436,7 @@ struct IrReader {
   std::vector<Symbol> SymOf; ///< table index -> interned symbol
 
   // Per-proc expression table: every entry, and whether a parent expression
-  // has adopted it yet. The entries live in the proc's ExprPool.
+  // has adopted it yet. The entries live in the proc's arena.
   std::vector<Expr *> Exprs;
   std::vector<uint8_t> Adopted;
   AstArena *Pool = nullptr;
@@ -465,7 +465,28 @@ struct IrReader {
       return nullptr;
     if (I > Proc.Nodes.size())
       return R.fail(), nullptr;
-    return Proc.Nodes[I - 1].get();
+    return Proc.Nodes[I - 1];
+  }
+
+  /// Counted lists, read into \p Proc's arena. R.count bounds each count by
+  /// the bytes left, so a hostile count cannot reserve more than the input.
+  std::span<Node *> nodeRefs(IrProc &Proc) {
+    std::span<Node *> L = Proc.makeList<Node *>(R.count(4));
+    for (Node *&N : L)
+      N = nodeRef(Proc);
+    return L;
+  }
+  std::span<Symbol> syms(IrProc &Proc) {
+    std::span<Symbol> L = Proc.makeList<Symbol>(R.count(4));
+    for (Symbol &S : L)
+      S = sym();
+    return L;
+  }
+  std::span<const Expr *> exprs(IrProc &Proc, uint32_t Limit) {
+    std::span<const Expr *> L = Proc.makeList<const Expr *>(R.count(4));
+    for (const Expr *&E : L)
+      E = expr(Limit);
+    return L;
   }
 
   /// A previously materialized expression, by table index (never forward).
@@ -565,12 +586,10 @@ struct IrReader {
     switch (N.kind()) {
     case Node::Kind::Entry: {
       auto &E = static_cast<EntryNode &>(N);
-      size_t C = R.count(8);
-      E.Conts.reserve(C);
-      for (size_t I = 0; I < C; ++I) {
-        Symbol S = sym();
-        Node *T = nodeRef(Proc);
-        E.Conts.emplace_back(S, T);
+      E.Conts = Proc.makeList<std::pair<Symbol, Node *>>(R.count(8));
+      for (auto &[S, T] : E.Conts) {
+        S = sym();
+        T = nodeRef(Proc);
       }
       E.Next = nodeRef(Proc);
       break;
@@ -583,28 +602,19 @@ struct IrReader {
     }
     case Node::Kind::CopyIn: {
       auto &C = static_cast<CopyInNode &>(N);
-      size_t K = R.count(4);
-      C.Vars.reserve(K);
-      for (size_t I = 0; I < K; ++I)
-        C.Vars.push_back(sym());
+      C.Vars = syms(Proc);
       C.Next = nodeRef(Proc);
       break;
     }
     case Node::Kind::CopyOut: {
       auto &C = static_cast<CopyOutNode &>(N);
-      size_t K = R.count(4);
-      C.Exprs.reserve(K);
-      for (size_t I = 0; I < K; ++I)
-        C.Exprs.push_back(expr(ExprCount));
+      C.Exprs = exprs(Proc, ExprCount);
       C.Next = nodeRef(Proc);
       break;
     }
     case Node::Kind::CalleeSaves: {
       auto &C = static_cast<CalleeSavesNode &>(N);
-      size_t K = R.count(4);
-      C.Saved.reserve(K);
-      for (size_t I = 0; I < K; ++I)
-        C.Saved.push_back(sym());
+      C.Saved = syms(Proc);
       C.Next = nodeRef(Proc);
       break;
     }
@@ -634,30 +644,15 @@ struct IrReader {
     case Node::Kind::Call: {
       auto &C = static_cast<CallNode &>(N);
       C.Callee = expr(ExprCount);
-      auto Refs = [&](std::vector<Node *> &V) {
-        size_t K = R.count(4);
-        V.reserve(K);
-        for (size_t I = 0; I < K; ++I)
-          V.push_back(nodeRef(Proc));
-      };
-      Refs(C.Bundle.ReturnsTo);
-      Refs(C.Bundle.UnwindsTo);
-      Refs(C.Bundle.CutsTo);
+      C.Bundle.ReturnsTo = nodeRefs(Proc);
+      C.Bundle.UnwindsTo = nodeRefs(Proc);
+      C.Bundle.CutsTo = nodeRefs(Proc);
       C.Bundle.Abort = R.u8() != 0;
       C.NumArgs = R.u32();
-      size_t D = R.count(4);
-      C.Descriptors.reserve(D);
-      for (size_t I = 0; I < D; ++I)
-        C.Descriptors.push_back(expr(ExprCount));
-      auto Names = [&](std::vector<Symbol> &V) {
-        size_t K = R.count(4);
-        V.reserve(K);
-        for (size_t I = 0; I < K; ++I)
-          V.push_back(sym());
-      };
-      Names(C.ReturnsToNames);
-      Names(C.UnwindsToNames);
-      Names(C.CutsToNames);
+      C.Descriptors = exprs(Proc, ExprCount);
+      C.ReturnsToNames = syms(Proc);
+      C.UnwindsToNames = syms(Proc);
+      C.CutsToNames = syms(Proc);
       // Every checked program has a normal-return continuation; an empty
       // ReturnsTo would make normalReturn() read past the front.
       if (C.Bundle.ReturnsTo.empty())
@@ -674,14 +669,8 @@ struct IrReader {
       auto &C = static_cast<CutToNode &>(N);
       C.Cont = expr(ExprCount);
       C.NumArgs = R.u32();
-      size_t K = R.count(4);
-      C.AlsoCutsTo.reserve(K);
-      for (size_t I = 0; I < K; ++I)
-        C.AlsoCutsTo.push_back(nodeRef(Proc));
-      size_t M = R.count(4);
-      C.AlsoCutsToNames.reserve(M);
-      for (size_t I = 0; I < M; ++I)
-        C.AlsoCutsToNames.push_back(sym());
+      C.AlsoCutsTo = nodeRefs(Proc);
+      C.AlsoCutsToNames = syms(Proc);
       break;
     }
     case Node::Kind::Yield:
@@ -709,7 +698,7 @@ struct IrReader {
     size_t NExprs = R.count(4);
     Exprs.assign(NExprs, nullptr);
     Adopted.assign(NExprs, 0);
-    Pool = &Proc.ExprPool;
+    Pool = &Proc.Arena;
     for (uint32_t I = 0; I < NExprs && R.ok(); ++I)
       readExprEntry(I);
     if (!R.ok())
@@ -813,6 +802,7 @@ struct IrReader {
     size_t NProcs = R.count(8);
     for (size_t I = 0; I < NProcs && R.ok(); ++I) {
       auto Proc = std::make_unique<IrProc>(&P.Memory);
+      Proc->Index = static_cast<uint32_t>(P.Procs.size());
       if (!readProc(*Proc))
         return false;
       P.ProcByName.emplace(Proc->Name, Proc.get());

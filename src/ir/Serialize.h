@@ -14,8 +14,8 @@
 /// byte-identical to serialize(P). SerializeTest and the cmmdiff round-trip
 /// oracle pin that property.
 ///
-/// The deserialized program owns everything it references: expressions land
-/// in each procedure's ExprPool and SourceModules stays empty (the source
+/// The deserialized program owns everything it references: nodes and
+/// expressions land in each procedure's arena and SourceModules stays empty (the source
 /// ASTs are not part of the format).
 ///
 //===----------------------------------------------------------------------===//

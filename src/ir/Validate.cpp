@@ -8,12 +8,16 @@
 
 #include "ir/Succ.h"
 
-#include <unordered_set>
-
 using namespace cmm;
 
 bool cmm::validateProc(const IrProc &P, const Interner &Names,
                        DiagnosticEngine &Diags) {
+  ReachScratch Walk;
+  return validateProc(P, Names, Diags, Walk);
+}
+
+bool cmm::validateProc(const IrProc &P, const Interner &Names,
+                       DiagnosticEngine &Diags, ReachScratch &Walk) {
   unsigned Before = Diags.errorCount();
   auto Error = [&](const Node *N, const std::string &Msg) {
     Diags.error(N ? N->Loc : SourceLoc(),
@@ -32,23 +36,25 @@ bool cmm::validateProc(const IrProc &P, const Interner &Names,
     return false;
   }
 
-  std::unordered_set<const Node *> Owned;
-  for (const std::unique_ptr<Node> &N : P.Nodes) {
-    Owned.insert(N.get());
-    if (N->Id >= P.Nodes.size() || P.Nodes[N->Id].get() != N.get())
-      Error(N.get(), "node id does not index the owner vector");
-  }
+  // A node belongs to P exactly when its id indexes it in P.Nodes.
+  auto Owned = [&](const Node *N) {
+    return N->Id < P.Nodes.size() && P.Nodes[N->Id] == N;
+  };
+  for (const Node *N : P.Nodes)
+    if (!Owned(N))
+      Error(N, "node id does not index the owner vector");
 
   auto CheckTarget = [&](const Node *From, const Node *To, const char *What) {
     if (!To) {
       Error(From, std::string("null ") + What + " target");
       return;
     }
-    if (!Owned.count(To))
+    if (!Owned(To))
       Error(From, std::string(What) + " target not owned by this procedure");
   };
 
-  for (Node *N : reachableNodes(P)) {
+  reachableNodes(P, Walk);
+  for (Node *N : Walk.Order) {
     switch (N->kind()) {
     case Node::Kind::Entry: {
       if (N != P.EntryPoint)
@@ -153,7 +159,8 @@ bool cmm::validateProc(const IrProc &P, const Interner &Names,
 
 bool cmm::validateProgram(const IrProgram &Prog, DiagnosticEngine &Diags) {
   bool Ok = true;
+  ReachScratch Walk;
   for (const auto &P : Prog.Procs)
-    Ok &= validateProc(*P, *Prog.Names, Diags);
+    Ok &= validateProc(*P, *Prog.Names, Diags, Walk);
   return Ok;
 }

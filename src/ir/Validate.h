@@ -20,9 +20,14 @@
 
 namespace cmm {
 
+struct ReachScratch;
+
 /// Verifies \p P; reports problems to \p Diags. Returns true when clean.
 bool validateProc(const IrProc &P, const Interner &Names,
                   DiagnosticEngine &Diags);
+/// As above, walking the graph in \p Walk's reusable storage.
+bool validateProc(const IrProc &P, const Interner &Names,
+                  DiagnosticEngine &Diags, ReachScratch &Walk);
 
 /// Verifies every procedure of \p Prog.
 bool validateProgram(const IrProgram &Prog, DiagnosticEngine &Diags);

@@ -69,7 +69,7 @@ CalleeSavesReport cmm::placeCalleeSaves(IrProc &P, const IrProgram &Prog,
 
     auto *CS = P.make<CalleeSavesNode>();
     CS->Loc = C->Loc;
-    CS->Saved = std::move(Chosen);
+    CS->Saved = P.copyList<Symbol>(Chosen);
     replaceAllSuccessorUses(P, C, CS);
     CS->Next = C;
     ++Report.CallsAnnotated;

@@ -345,11 +345,11 @@ void ConstPropImpl::clobberOnEdge(const Node *N, EdgeKind Kind,
 
 const Expr *ConstPropImpl::makeLiteral(const Value &V, SourceLoc Loc) {
   if (V.isFloat()) {
-    auto *E = P.ExprPool.make<FloatLitExpr>(Loc, V.F);
+    auto *E = P.Arena.make<FloatLitExpr>(Loc, V.F);
     E->Ty = Type::flt(V.Width);
     return E;
   }
-  auto *E = P.ExprPool.make<IntLitExpr>(Loc, V.Raw);
+  auto *E = P.Arena.make<IntLitExpr>(Loc, V.Raw);
   E->Ty = Type::bits(V.Width);
   return E;
 }

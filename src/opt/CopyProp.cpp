@@ -119,7 +119,7 @@ const Expr *CopyPropImpl::rewriteExpr(const Expr *E, const unsigned *S) {
     std::optional<unsigned> I = U.varIndex(N->Name);
     if (!I || S[*I] == NoCopy || S[*I] == TopVal || !U.isVar(S[*I]))
       return E;
-    auto *New = P.ExprPool.make<NameExpr>(N->loc(), U.varAt(S[*I]));
+    auto *New = P.Arena.make<NameExpr>(N->loc(), U.varAt(S[*I]));
     New->Ty = N->Ty;
     New->Ref = U.isGlobalVar(S[*I]) ? RefKind::Global : RefKind::Local;
     ++Report.UsesRewritten;

@@ -104,27 +104,27 @@ LocUniverse LocUniverse::forProc(const IrProc &P, const IrProgram &Prog) {
 
   unsigned MaxA = static_cast<unsigned>(P.Params.size());
   auto NoLoad = [] {};
-  for (const std::unique_ptr<Node> &N : P.Nodes) {
+  for (const Node *N : P.Nodes) {
     // Referenced globals and continuation names become locations too.
     forEachNodeExpr(*N, [&](const Expr *E) {
       forEachExprUse(E, AddVar, NoLoad);
     });
-    if (const auto *A = dyn_cast<AssignNode>(N.get()))
+    if (const auto *A = dyn_cast<AssignNode>(N))
       AddVar(A->Var);
-    if (const auto *C = dyn_cast<CopyInNode>(N.get())) {
+    if (const auto *C = dyn_cast<CopyInNode>(N)) {
       for (Symbol V : C->Vars)
         AddVar(V);
       MaxA = std::max(MaxA, static_cast<unsigned>(C->Vars.size()));
     }
-    if (const auto *C = dyn_cast<CopyOutNode>(N.get()))
+    if (const auto *C = dyn_cast<CopyOutNode>(N))
       MaxA = std::max(MaxA, static_cast<unsigned>(C->Exprs.size()));
-    if (const auto *C = dyn_cast<CallNode>(N.get()))
+    if (const auto *C = dyn_cast<CallNode>(N))
       MaxA = std::max(MaxA, C->NumArgs);
-    if (const auto *J = dyn_cast<JumpNode>(N.get()))
+    if (const auto *J = dyn_cast<JumpNode>(N))
       MaxA = std::max(MaxA, J->NumArgs);
-    if (const auto *C = dyn_cast<CutToNode>(N.get()))
+    if (const auto *C = dyn_cast<CutToNode>(N))
       MaxA = std::max(MaxA, C->NumArgs);
-    if (const auto *E = dyn_cast<EntryNode>(N.get()))
+    if (const auto *E = dyn_cast<EntryNode>(N))
       for (const auto &[Name, Target] : E->Conts) {
         (void)Target;
         AddVar(Name);
@@ -423,8 +423,7 @@ BitMatrix cmm::computeMaySigma(const IrProc &P, const LocUniverse &U) {
 //===----------------------------------------------------------------------===//
 
 void cmm::replaceAllSuccessorUses(IrProc &P, Node *From, Node *To) {
-  for (const std::unique_ptr<Node> &Owned : P.Nodes) {
-    Node *N = Owned.get();
+  for (Node *N : P.Nodes) {
     auto Fix = [&](Node *&Slot) {
       if (Slot == From)
         Slot = To;

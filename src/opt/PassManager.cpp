@@ -105,7 +105,7 @@ public:
 
     if (Opts.ValidateEachPass) {
       DiagnosticEngine VDiags;
-      if (!validateProc(P, *Prog.Names, VDiags))
+      if (!validateProc(P, *Prog.Names, VDiags, Walk))
         R.ValidationErrors.push_back(
             std::string(passName(Id)) + " broke " +
             std::string(Prog.Names->spelling(P.Name)) + ": " + VDiags.str());

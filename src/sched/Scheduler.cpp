@@ -43,16 +43,17 @@ void addStats(Stats &A, const Stats &S) {
 // Core state
 //===----------------------------------------------------------------------===//
 
-/// One green thread. Owned by the core; its executor is touched only by
-/// the driver currently running its slice (the core lock hands threads
-/// between drivers, so cross-thread migration needs no further sync).
+/// One green thread. Owned by the core; its executor is built by the
+/// driver running its first slice and touched only by the driver currently
+/// running its slice (the core lock hands threads between drivers, so
+/// cross-thread migration needs no further sync).
 struct Scheduler::Green {
   enum class State : uint8_t { Runnable, Running, Parked, Done };
   /// What the next slice must do first.
   enum class Pending : uint8_t { Start, Continue, Resume };
 
   uint64_t Tid = 0;
-  std::unique_ptr<Executor> M;
+  std::unique_ptr<Executor> M; ///< null until the first slice
   State St = State::Runnable;
   Pending Pend = Pending::Start;
   std::vector<Value> ResumeParams; ///< for Pending::Resume
@@ -254,7 +255,6 @@ SchedResult Scheduler::run(std::string_view Entry, std::vector<Value> Args) {
     std::lock_guard<std::mutex> Lock(C->Mu);
     auto G = std::make_unique<Green>();
     G->Tid = C->NextTid++;
-    G->M = C->Factory();
     G->Pend = Green::Pending::Start;
     G->StartProc = std::string(Entry);
     G->StartArgs = std::move(Args);
@@ -373,6 +373,10 @@ void Scheduler::driverLoop(const std::shared_ptr<Core> &CP, bool Caller) {
 }
 
 void Scheduler::runSlice(Core &C, Green &G) {
+  // Built here, outside the lock, so a spawn burst does not hold the other
+  // drivers off Core::Mu while executors are constructed.
+  if (!G.M)
+    G.M = C.Factory();
   Executor &M = *G.M;
   uint64_t Fuel = C.Opts.SliceFuel;
 
@@ -520,7 +524,6 @@ bool Scheduler::handleRequest(Core &C, Green &G, const SchedRequest &Req,
                   std::to_string(C.Opts.MaxThreads) + ") exceeded by spawn");
     auto NG = std::make_unique<Green>();
     NG->Tid = C.NextTid++;
-    NG->M = C.Factory();
     NG->Pend = Green::Pending::Start;
     NG->StartProc = Prog.Names->spelling(Prog.Procs[Idx]->Name);
     NG->StartArgs.assign(Req.Operands.begin() + 1, Req.Operands.end());

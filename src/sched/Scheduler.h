@@ -127,7 +127,8 @@ class Scheduler {
 public:
   /// Makes one fresh executor per green thread (the engine passes
   /// ProgramArtifact::newExecutor; tests pass makeExecutor over a shared
-  /// program). Must be callable from any driver concurrently.
+  /// program), on the thread's first slice and outside the schedule's lock.
+  /// Must be callable from any driver concurrently.
   using ExecutorFactory = std::function<std::unique_ptr<Executor>()>;
   /// Hands a helper driver task to the host's pool. Called only before
   /// run() returns, possibly from a pool worker, with the schedule's lock

@@ -15,13 +15,7 @@
 
 using namespace cmm;
 
-Machine::Machine(const IrProgram &Prog) : Prog(Prog) {
-  CodeTable.reserve(Prog.Procs.size());
-  for (const auto &P : Prog.Procs) {
-    CodeIndex.emplace(P.get(), CodeTable.size());
-    CodeTable.push_back(P.get());
-  }
-}
+Machine::Machine(const IrProgram &Prog) : Prog(Prog) {}
 
 void Machine::goWrong(std::string Reason, SourceLoc Loc) {
   if (St == MachineStatus::Wrong)
@@ -34,9 +28,9 @@ void Machine::goWrong(std::string Reason, SourceLoc Loc) {
 }
 
 Value Machine::codeValue(const IrProc *P) const {
-  auto It = CodeIndex.find(P);
-  assert(It != CodeIndex.end() && "procedure not in this program");
-  return Value::code(It->second);
+  assert(P->Index < Prog.Procs.size() && Prog.Procs[P->Index].get() == P &&
+         "procedure not in this program");
+  return Value::code(P->Index);
 }
 
 void Machine::start(std::string_view ProcName, std::vector<Value> Args) {
@@ -664,7 +658,7 @@ template <bool Observed> bool Machine::stepImpl() {
     for (Symbol V : Sigma)
       if (std::find(C->Saved.begin(), C->Saved.end(), V) == C->Saved.end())
         ++S.CalleeSaveMoves;
-    Sigma = C->Saved;
+    Sigma.assign(C->Saved.begin(), C->Saved.end());
     Control = C->Next;
     return true;
   }
@@ -718,8 +712,8 @@ template <bool Observed> bool Machine::stepImpl() {
         Value::rawIsCode(Callee->Raw)) {
       uint64_t Idx = Callee->codeIndex();
       if ((Callee->Raw - CodeBase) % CodeStride == 0 &&
-          Idx < CodeTable.size())
-        Target = CodeTable[Idx];
+          Idx < Prog.Procs.size())
+        Target = Prog.Procs[Idx].get();
     }
     if (!Target) {
       goWrong("call target is not code (" + Callee->str() + ")", C->Loc);
@@ -744,8 +738,8 @@ template <bool Observed> bool Machine::stepImpl() {
         Value::rawIsCode(Callee->Raw)) {
       uint64_t Idx = Callee->codeIndex();
       if ((Callee->Raw - CodeBase) % CodeStride == 0 &&
-          Idx < CodeTable.size())
-        Target = CodeTable[Idx];
+          Idx < Prog.Procs.size())
+        Target = Prog.Procs[Idx].get();
     }
     if (!Target) {
       goWrong("jump target is not code (" + Callee->str() + ")", J->Loc);

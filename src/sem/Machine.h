@@ -180,8 +180,6 @@ private:
   Env GlobalEnv;
   uint64_t NextUid = 1;
   std::vector<ContRecord> ContTable;
-  std::unordered_map<const IrProc *, uint64_t> CodeIndex;
-  std::vector<const IrProc *> CodeTable;
   MachineStatus St = MachineStatus::Idle;
   std::string WrongReason;
   SourceLoc WrongLoc;

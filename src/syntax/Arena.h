@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one owner of every expression and statement node. A Module's arena
-/// holds its parsed tree; an IrProc's ExprPool holds the expressions the
-/// optimizer, the deserializer and the IL text parser create. Nodes are
-/// trivially destructible and their child lists are spans into the same
-/// arena, so freeing the arena is freeing the tree: one `free` per chunk,
-/// no destructor walk.
+/// The one owner of every expression, statement and graph node. A Module's
+/// arena holds its parsed tree; an IrProc's arena holds its graph nodes and
+/// the expressions the optimizer, the deserializer and the IL text parser
+/// create. Nodes are trivially destructible and their child lists are spans
+/// into the same arena, so freeing the arena is freeing the tree: one `free`
+/// per chunk, no destructor walk.
 ///
 //===----------------------------------------------------------------------===//
 

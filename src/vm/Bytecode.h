@@ -22,6 +22,8 @@
 #include "ir/Ir.h"
 #include "sem/Value.h"
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,6 +117,47 @@ struct CopyDest {
   Symbol Sym; ///< the global's name when Global
 };
 
+/// The variable-length operand lists of one instruction kind (CopyIn,
+/// CalleeSaves or Entry), flattened: plan I is Items[Starts[I] ..
+/// Starts[I + 1]). A table costs two allocations however many plans it
+/// holds, and none when it holds none.
+template <typename T> struct PlanTable {
+  std::vector<T> Items;
+  /// Empty, or size() + 1 offsets starting at 0.
+  std::vector<uint32_t> Starts;
+
+  size_t size() const { return Starts.empty() ? 0 : Starts.size() - 1; }
+  std::span<const T> operator[](size_t I) const {
+    return {Items.data() + Starts[I], Items.data() + Starts[I + 1]};
+  }
+  void reserve(size_t NumPlans, size_t NumItems) {
+    Starts.reserve(NumPlans ? NumPlans + 1 : 0);
+    Items.reserve(NumItems);
+  }
+  /// Ends the plan made of the items pushed since the last endPlan();
+  /// returns its index.
+  uint32_t endPlan() {
+    if (Starts.empty())
+      Starts.push_back(0);
+    Starts.push_back(static_cast<uint32_t>(Items.size()));
+    return static_cast<uint32_t>(Starts.size() - 2);
+  }
+};
+
+/// A continuation an Entry instruction binds: its frame slot and the
+/// continuation's CopyIn node.
+struct EntryBinding {
+  uint16_t Slot = 0;
+  Node *Target = nullptr;
+};
+
+/// The source location of a fused named-slot operand, keyed by
+/// pc * 4 + field (0 = A, 1 = B, 2 = C).
+struct RvSlotLoc {
+  uint64_t Key = 0;
+  SourceLoc Loc;
+};
+
 /// One compiled procedure.
 struct CompiledProc {
   const IrProc *Proc = nullptr;
@@ -137,28 +180,36 @@ struct CompiledProc {
   std::vector<std::string> Msgs;
   std::vector<Symbol> Syms;
   std::vector<Symbol> SlotSyms; ///< slot → symbol, for diagnostics
-  std::vector<std::vector<CopyDest>> CopyPlans;
-  std::vector<std::vector<uint16_t>> SavePlans;
-  std::vector<std::vector<std::pair<uint16_t, Node *>>> EntryPlans;
-  /// Source location of each fused named-slot operand, keyed by
-  /// pc * 4 + field (0 = A, 1 = B, 2 = C). Consulted only when the slot's
-  /// bound check fails, so the unbound-variable diagnostic points at the
-  /// variable reference itself — exactly where the walker reports it —
-  /// rather than at the consuming expression.
-  std::unordered_map<uint64_t, SourceLoc> RvSlotLocs;
+  PlanTable<CopyDest> CopyPlans;
+  PlanTable<uint16_t> SavePlans;
+  PlanTable<EntryBinding> EntryPlans;
+  /// Source location of each fused named-slot operand, sorted by key.
+  /// Consulted only when the slot's bound check fails, so the
+  /// unbound-variable diagnostic points at the variable reference itself —
+  /// exactly where the walker reports it — rather than at the consuming
+  /// expression.
+  std::vector<RvSlotLoc> RvSlotLocs;
+
+  /// The recorded location of field \p Field's operand at \p Pc, or
+  /// \p Otherwise when none was recorded.
+  SourceLoc rvSlotLoc(uint32_t Pc, unsigned Field, SourceLoc Otherwise) const {
+    uint64_t Key = uint64_t(Pc) * 4 + Field;
+    auto It = std::lower_bound(
+        RvSlotLocs.begin(), RvSlotLocs.end(), Key,
+        [](const RvSlotLoc &L, uint64_t K) { return L.Key < K; });
+    return It != RvSlotLocs.end() && It->Key == Key ? It->Loc : Otherwise;
+  }
 };
 
 /// A compiled program: one CompiledProc per IrProc, in IrProgram::Procs
-/// order (so code-value indices agree with the walker's).
+/// order (so code-value indices agree with the walker's, and IrProc::Index
+/// addresses both).
 struct CompiledProgram {
   std::vector<CompiledProc> Procs;
-  std::unordered_map<const IrProc *, uint32_t> Index;
   /// Largest CopyOut arity in the program (sizes the staging area).
   uint32_t MaxOut = 0;
 
-  const CompiledProc &byProc(const IrProc *P) const {
-    return Procs[Index.at(P)];
-  }
+  const CompiledProc &byProc(const IrProc *P) const { return Procs[P->Index]; }
 };
 
 /// Compiles every procedure of \p Prog to bytecode.

@@ -25,22 +25,18 @@
 //     u64  CopyPlans count;  per plan: u64 count; u8 Global, u16 Slot, sym
 //     u64  SavePlans count;  per plan: u64 count; u16 each
 //     u64  EntryPlans count; per plan: u64 count; u16 slot, node ref
-//     u64  RvSlotLocs count; sorted ascending by key: u64 key, u32 Line,
-//          u32 Col — the one unordered container here, so sorting makes
-//          the encoding canonical
+//     u64  RvSlotLocs count; strictly ascending by key: u64 key, u32 Line,
+//          u32 Col
 //   u32  MaxOut
 //
 // Symbols are re-interned into the program's interner at decode time, which
 // mutates shared state: callers must decode before publishing the artifact
 // to other threads (engine/ArtifactStore.cpp does so under the cache's
-// single-flight slot). CompiledProgram::Index and CompiledProc::Keys are
-// rebuilt, not serialized.
+// single-flight slot). CompiledProc::Keys is rebuilt, not serialized.
 //
 //===----------------------------------------------------------------------===//
 
 #include "vm/BytecodeIO.h"
-
-#include <algorithm>
 
 namespace cmm {
 
@@ -86,7 +82,7 @@ struct ProcReader {
       R.fail();
       return nullptr;
     }
-    return Proc.Nodes[Ref - 1].get();
+    return Proc.Nodes[Ref - 1];
   }
 
   Symbol sym() {
@@ -95,6 +91,31 @@ struct ProcReader {
     return Names.intern(R.str());
   }
 };
+
+/// A plan table as its plan count, then per plan its item count and items.
+template <typename T, typename WriteFn>
+void writePlans(ByteWriter &W, const PlanTable<T> &Plans, WriteFn WriteItem) {
+  W.u64(Plans.size());
+  for (size_t I = 0; I < Plans.size(); ++I) {
+    W.u64(Plans[I].size());
+    for (const T &Item : Plans[I])
+      WriteItem(Item);
+  }
+}
+
+template <typename T, typename ReadFn>
+void readPlans(ByteReader &R, PlanTable<T> &Plans, size_t MinItemBytes,
+               ReadFn ReadItem) {
+  uint64_t NumPlans = R.count(/*MinBytesPer=*/8);
+  Plans.reserve(NumPlans, 0);
+  for (uint64_t I = 0; R.ok() && I < NumPlans; ++I) {
+    uint64_t N = R.count(MinItemBytes);
+    for (uint64_t J = 0; R.ok() && J < N; ++J)
+      Plans.Items.push_back(ReadItem());
+    Plans.endPlan();
+  }
+  Plans.Items.shrink_to_fit();
+}
 
 void writeProc(const CompiledProc &C, const Interner &Names, ByteWriter &W) {
   W.u8(C.HasBody ? 1 : 0);
@@ -137,40 +158,21 @@ void writeProc(const CompiledProc &C, const Interner &Names, ByteWriter &W) {
   for (Symbol S : C.SlotSyms)
     writeSym(W, S, Names);
 
-  W.u64(C.CopyPlans.size());
-  for (const std::vector<CopyDest> &Plan : C.CopyPlans) {
-    W.u64(Plan.size());
-    for (const CopyDest &D : Plan) {
-      W.u8(D.Global ? 1 : 0);
-      W.u16(D.Slot);
-      writeSym(W, D.Sym, Names);
-    }
-  }
+  writePlans(W, C.CopyPlans, [&](const CopyDest &D) {
+    W.u8(D.Global ? 1 : 0);
+    W.u16(D.Slot);
+    writeSym(W, D.Sym, Names);
+  });
+  writePlans(W, C.SavePlans, [&](uint16_t Slot) { W.u16(Slot); });
+  writePlans(W, C.EntryPlans, [&](const EntryBinding &B) {
+    W.u16(B.Slot);
+    writeNodeRef(W, B.Target);
+  });
 
-  W.u64(C.SavePlans.size());
-  for (const std::vector<uint16_t> &Plan : C.SavePlans) {
-    W.u64(Plan.size());
-    for (uint16_t Slot : Plan)
-      W.u16(Slot);
-  }
-
-  W.u64(C.EntryPlans.size());
-  for (const auto &Plan : C.EntryPlans) {
-    W.u64(Plan.size());
-    for (const auto &[Slot, N] : Plan) {
-      W.u16(Slot);
-      writeNodeRef(W, N);
-    }
-  }
-
-  std::vector<std::pair<uint64_t, SourceLoc>> Locs(C.RvSlotLocs.begin(),
-                                                   C.RvSlotLocs.end());
-  std::sort(Locs.begin(), Locs.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-  W.u64(Locs.size());
-  for (const auto &[Key, Loc] : Locs) {
-    W.u64(Key);
-    writeLoc(W, Loc);
+  W.u64(C.RvSlotLocs.size());
+  for (const RvSlotLoc &L : C.RvSlotLocs) {
+    W.u64(L.Key);
+    writeLoc(W, L.Loc);
   }
 }
 
@@ -235,52 +237,29 @@ bool readProc(ProcReader &P, CompiledProc &C) {
   for (uint64_t I = 0; R.ok() && I < NumSlotSyms; ++I)
     C.SlotSyms.push_back(P.sym());
 
-  uint64_t NumCopyPlans = R.count(/*MinBytesPer=*/8);
-  C.CopyPlans.reserve(NumCopyPlans);
-  for (uint64_t I = 0; R.ok() && I < NumCopyPlans; ++I) {
-    uint64_t N = R.count(/*MinBytesPer=*/4);
-    std::vector<CopyDest> Plan;
-    Plan.reserve(N);
-    for (uint64_t J = 0; R.ok() && J < N; ++J) {
-      CopyDest D;
-      D.Global = R.u8() != 0;
-      D.Slot = R.u16();
-      D.Sym = P.sym();
-      Plan.push_back(D);
-    }
-    C.CopyPlans.push_back(std::move(Plan));
-  }
+  readPlans(R, C.CopyPlans, /*MinItemBytes=*/4, [&] {
+    CopyDest D;
+    D.Global = R.u8() != 0;
+    D.Slot = R.u16();
+    D.Sym = P.sym();
+    return D;
+  });
+  readPlans(R, C.SavePlans, /*MinItemBytes=*/2, [&] { return R.u16(); });
+  readPlans(R, C.EntryPlans, /*MinItemBytes=*/6, [&] {
+    EntryBinding B;
+    B.Slot = R.u16();
+    B.Target = P.nodeRef();
+    return B;
+  });
 
-  uint64_t NumSavePlans = R.count(/*MinBytesPer=*/8);
-  C.SavePlans.reserve(NumSavePlans);
-  for (uint64_t I = 0; R.ok() && I < NumSavePlans; ++I) {
-    uint64_t N = R.count(/*MinBytesPer=*/2);
-    std::vector<uint16_t> Plan;
-    Plan.reserve(N);
-    for (uint64_t J = 0; R.ok() && J < N; ++J)
-      Plan.push_back(R.u16());
-    C.SavePlans.push_back(std::move(Plan));
-  }
-
-  uint64_t NumEntryPlans = R.count(/*MinBytesPer=*/8);
-  C.EntryPlans.reserve(NumEntryPlans);
-  for (uint64_t I = 0; R.ok() && I < NumEntryPlans; ++I) {
-    uint64_t N = R.count(/*MinBytesPer=*/6);
-    std::vector<std::pair<uint16_t, Node *>> Plan;
-    Plan.reserve(N);
-    for (uint64_t J = 0; R.ok() && J < N; ++J) {
-      uint16_t Slot = R.u16();
-      Node *Target = P.nodeRef();
-      Plan.emplace_back(Slot, Target);
-    }
-    C.EntryPlans.push_back(std::move(Plan));
-  }
-
+  // Keys must ascend strictly: the lookup binary-searches them.
   uint64_t NumLocs = R.count(/*MinBytesPer=*/16);
   C.RvSlotLocs.reserve(NumLocs);
   for (uint64_t I = 0; R.ok() && I < NumLocs; ++I) {
     uint64_t Key = R.u64();
-    C.RvSlotLocs[Key] = readLoc(R);
+    if (!C.RvSlotLocs.empty() && Key <= C.RvSlotLocs.back().Key)
+      return R.fail(), false;
+    C.RvSlotLocs.push_back({Key, readLoc(R)});
   }
 
   return R.ok();
@@ -325,10 +304,6 @@ deserializeBytecode(ByteReader &R, const IrProgram &Prog, std::string *Err) {
   C->MaxOut = R.u32();
   if (!R.ok())
     return Fail("truncated bytecode blob");
-
-  C->Index.reserve(NumProcs);
-  for (uint64_t I = 0; I < NumProcs; ++I)
-    C->Index.emplace(C->Procs[I].Proc, static_cast<uint32_t>(I));
   return C;
 }
 

@@ -12,7 +12,7 @@
 /// travel as node ids, and symbols travel as spellings re-interned into the
 /// program's interner on decode (which must therefore happen before the
 /// artifact is published to other threads). Like ir/Serialize.h the
-/// encoding is canonical — unordered containers are emitted sorted — so
+/// encoding is canonical — CompiledProc holds no unordered container — so
 /// encode(decode(encode(C))) is byte-identical.
 ///
 //===----------------------------------------------------------------------===//

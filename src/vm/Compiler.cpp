@@ -19,17 +19,44 @@
 #include "support/Casting.h"
 #include "syntax/PrimOps.h"
 
-#include <unordered_set>
-
 using namespace cmm;
 
 namespace {
 
+/// Working storage shared by the procedures of one program, so compiling a
+/// program allocates per program rather than per procedure: the symbol →
+/// slot table, the layout worklists, and the code and pools of the
+/// procedure being compiled, each copied out at its exact size when the
+/// procedure is done.
+struct Scratch {
+  static constexpr uint16_t NoSlot = 0xffff;
+
+  explicit Scratch(const IrProgram &Prog)
+      : SlotOf(Prog.Names->size() + 1, NoSlot) {}
+
+  /// Symbol id → frame slot of the procedure being compiled, or NoSlot.
+  /// Reset entry by entry (through SlotSyms) after each procedure.
+  std::vector<uint16_t> SlotOf;
+  std::vector<const Node *> Order;
+  std::vector<std::pair<uint32_t, uint32_t>> Fixups; ///< (instr, node id)
+  std::vector<VmInstr> Code;
+  std::vector<Value> Consts;
+  std::vector<Symbol> Syms, SlotSyms;
+  std::vector<RvSlotLoc> RvSlotLocs;
+};
+
+/// Copies \p From into \p To at its exact size, leaving \p From empty
+/// (its capacity stays for the next procedure).
+template <typename T> void takeExact(std::vector<T> &To, std::vector<T> &From) {
+  To.assign(From.begin(), From.end());
+  From.clear();
+}
+
 class ProcCompiler {
 public:
   ProcCompiler(const IrProgram &Prog, const IrProc &P, CompiledProc &Out,
-               uint32_t &MaxOut)
-      : Prog(Prog), P(P), Out(Out), MaxOut(MaxOut) {}
+               uint32_t &MaxOut, Scratch &Work)
+      : Prog(Prog), P(P), Out(Out), MaxOut(MaxOut), Work(Work) {}
 
   void compile();
 
@@ -38,11 +65,15 @@ private:
   void assignSlots();
   void collectExprSyms(const Expr *E);
   void addSlot(Symbol S) {
-    if (SlotOf.count(S))
+    if (Work.SlotOf[S.Id] != Scratch::NoSlot)
       return;
-    uint16_t Idx = static_cast<uint16_t>(Out.SlotSyms.size());
-    SlotOf.emplace(S, Idx);
-    Out.SlotSyms.push_back(S);
+    Work.SlotOf[S.Id] = static_cast<uint16_t>(Work.SlotSyms.size());
+    Work.SlotSyms.push_back(S);
+  }
+  uint16_t slotOf(Symbol S) const {
+    uint16_t Slot = Work.SlotOf[S.Id];
+    assert(Slot != Scratch::NoSlot && "symbol without a frame slot");
+    return Slot;
   }
   /// True when the walker's bindVar would route \p S to the local
   /// environment rather than a global register.
@@ -57,26 +88,26 @@ private:
       MaxRegs = NextTemp;
     return R;
   }
-  void resetTemps() { NextTemp = static_cast<uint16_t>(Out.SlotSyms.size()); }
+  void resetTemps() { NextTemp = static_cast<uint16_t>(Work.SlotSyms.size()); }
 
   VmInstr &emit(Op K, SourceLoc Loc) {
     VmInstr I;
     I.K = K;
     I.Loc = Loc;
-    Out.Code.push_back(I);
-    return Out.Code.back();
+    Work.Code.push_back(I);
+    return Work.Code.back();
   }
   uint32_t constIdx(const Value &V) {
-    Out.Consts.push_back(V);
-    return static_cast<uint32_t>(Out.Consts.size() - 1);
+    Work.Consts.push_back(V);
+    return static_cast<uint32_t>(Work.Consts.size() - 1);
   }
   uint32_t msgIdx(std::string M) {
     Out.Msgs.push_back(std::move(M));
     return static_cast<uint32_t>(Out.Msgs.size() - 1);
   }
   uint32_t symIdx(Symbol S) {
-    Out.Syms.push_back(S);
-    return static_cast<uint32_t>(Out.Syms.size() - 1);
+    Work.Syms.push_back(S);
+    return static_cast<uint32_t>(Work.Syms.size() - 1);
   }
   static uint32_t tyEnc(Type T) {
     return (uint32_t(T.Width) << 1) | (T.isFloat() ? 1 : 0);
@@ -106,11 +137,15 @@ private:
   /// in field \p Field (0 = A, 1 = B, 2 = C) of the most recently emitted
   /// instruction, so a failed bound check reports the variable reference
   /// itself (CompiledProc::RvSlotLocs). No-op for constants and temps.
+  /// Instructions are emitted in pc order and their fields noted in field
+  /// order, so the keys arrive sorted.
   void noteRvLoc(unsigned Field, uint16_t Enc, const Expr *E) {
-    if ((Enc & OperandConst) || Enc >= Out.SlotSyms.size())
+    if ((Enc & OperandConst) || Enc >= Work.SlotSyms.size())
       return;
-    Out.RvSlotLocs.emplace((uint64_t(Out.Code.size()) - 1) * 4 + Field,
-                           E->loc());
+    uint64_t Key = (uint64_t(Work.Code.size()) - 1) * 4 + Field;
+    assert((Work.RvSlotLocs.empty() || Work.RvSlotLocs.back().Key < Key) &&
+           "operand locations noted out of order");
+    Work.RvSlotLocs.push_back({Key, E->loc()});
   }
   uint16_t emitWrong(std::string Msg, SourceLoc Loc) {
     uint16_t R = newTemp();
@@ -121,7 +156,6 @@ private:
   }
   /// Compile-time constant resolution, mirroring Executor::evalConstExpr.
   std::optional<Value> resolveConst(const Expr *E) const;
-  Value codeValueOf(const IrProc *Target) const;
 
   //===-- Nodes ------------------------------------------------------------===//
   void layout();
@@ -134,11 +168,9 @@ private:
   const IrProc &P;
   CompiledProc &Out;
   uint32_t &MaxOut;
+  Scratch &Work;
 
-  std::unordered_map<Symbol, uint16_t> SlotOf;
   uint16_t NextTemp = 0, MaxRegs = 0;
-  std::vector<const Node *> Order;
-  std::vector<std::pair<uint32_t, uint32_t>> Fixups; ///< (instr, node id)
 };
 
 //===----------------------------------------------------------------------===//
@@ -174,67 +206,73 @@ void ProcCompiler::collectExprSyms(const Expr *E) {
 
 void ProcCompiler::assignSlots() {
   // Declared locals and parameters first, then anything else a node binds
-  // or reads locally (the walker's ρ accepts any symbol).
-  for (const auto &N : P.Nodes) {
+  // or reads locally (the walker's ρ accepts any symbol). Layout gives
+  // every node code exactly once, so the plan counts taken here size the
+  // plan tables exactly.
+  size_t CopyIns = 0, CopyDests = 0, Saves = 0, Saved = 0, Entries = 0,
+         Conts = 0;
+  for (const Node *N : P.Nodes) {
     switch (N->kind()) {
     case Node::Kind::Entry:
-      for (const auto &[Name, Target] : cast<EntryNode>(N.get())->Conts)
+      ++Entries;
+      Conts += cast<EntryNode>(N)->Conts.size();
+      for (const auto &[Name, Target] : cast<EntryNode>(N)->Conts)
         addSlot(Name);
       break;
     case Node::Kind::CopyIn:
-      for (Symbol V : cast<CopyInNode>(N.get())->Vars)
+      ++CopyIns;
+      CopyDests += cast<CopyInNode>(N)->Vars.size();
+      for (Symbol V : cast<CopyInNode>(N)->Vars)
         if (isLocalBind(V))
           addSlot(V);
       break;
     case Node::Kind::CopyOut:
-      for (const Expr *E : cast<CopyOutNode>(N.get())->Exprs)
+      for (const Expr *E : cast<CopyOutNode>(N)->Exprs)
         collectExprSyms(E);
       break;
     case Node::Kind::CalleeSaves:
-      for (Symbol V : cast<CalleeSavesNode>(N.get())->Saved)
+      ++Saves;
+      Saved += cast<CalleeSavesNode>(N)->Saved.size();
+      for (Symbol V : cast<CalleeSavesNode>(N)->Saved)
         addSlot(V);
       break;
     case Node::Kind::Assign: {
-      const auto *A = cast<AssignNode>(N.get());
+      const auto *A = cast<AssignNode>(N);
       if (!A->IsGlobal)
         addSlot(A->Var);
       collectExprSyms(A->Value);
       break;
     }
     case Node::Kind::Store:
-      collectExprSyms(cast<StoreNode>(N.get())->Addr);
-      collectExprSyms(cast<StoreNode>(N.get())->Value);
+      collectExprSyms(cast<StoreNode>(N)->Addr);
+      collectExprSyms(cast<StoreNode>(N)->Value);
       break;
     case Node::Kind::Branch:
-      collectExprSyms(cast<BranchNode>(N.get())->Cond);
+      collectExprSyms(cast<BranchNode>(N)->Cond);
       break;
     case Node::Kind::Call:
-      collectExprSyms(cast<CallNode>(N.get())->Callee);
+      collectExprSyms(cast<CallNode>(N)->Callee);
       break;
     case Node::Kind::Jump:
-      collectExprSyms(cast<JumpNode>(N.get())->Callee);
+      collectExprSyms(cast<JumpNode>(N)->Callee);
       break;
     case Node::Kind::CutTo:
-      collectExprSyms(cast<CutToNode>(N.get())->Cont);
+      collectExprSyms(cast<CutToNode>(N)->Cont);
       break;
     default:
       break;
     }
   }
-  Out.NumSlots = static_cast<uint16_t>(Out.SlotSyms.size());
+  Out.NumSlots = static_cast<uint16_t>(Work.SlotSyms.size());
   MaxRegs = Out.NumSlots;
+  Out.CopyPlans.reserve(CopyIns, CopyDests);
+  Out.SavePlans.reserve(Saves, Saved);
+  Out.EntryPlans.reserve(Entries, Conts);
 }
 
 //===----------------------------------------------------------------------===//
 // Constant resolution
 //===----------------------------------------------------------------------===//
-
-Value ProcCompiler::codeValueOf(const IrProc *Target) const {
-  for (size_t I = 0; I < Prog.Procs.size(); ++I)
-    if (Prog.Procs[I].get() == Target)
-      return Value::code(I);
-  cmm_unreachable("procedure not in this program");
-}
 
 std::optional<Value> ProcCompiler::resolveConst(const Expr *E) const {
   switch (E->kind()) {
@@ -254,7 +292,7 @@ std::optional<Value> ProcCompiler::resolveConst(const Expr *E) const {
     }
     if (N->Ref == RefKind::Proc || N->Ref == RefKind::Import) {
       if (const IrProc *Target = Prog.findProc(N->Name))
-        return codeValueOf(Target);
+        return Value::code(Target->Index);
       auto It = Prog.DataAddrs.find(N->Name);
       if (It != Prog.DataAddrs.end())
         return Value::bits(TargetInfo::nativePointer().Width, It->second);
@@ -289,7 +327,7 @@ std::optional<uint16_t> ProcCompiler::leafOperand(const Expr *E,
     if (N->Ref == RefKind::Local || N->Ref == RefKind::Continuation) {
       if (!AllowSlot)
         return std::nullopt;
-      return SlotOf.at(N->Name);
+      return slotOf(N->Name);
     }
     if (N->Ref == RefKind::Proc || N->Ref == RefKind::DataLabel ||
         N->Ref == RefKind::Import)
@@ -366,7 +404,7 @@ uint16_t ProcCompiler::compileExpr(const Expr *E) {
       uint16_t R = newTemp();
       VmInstr &I = emit(Op::LoadLocal, E->loc());
       I.A = R;
-      I.B = SlotOf.at(N->Name);
+      I.B = slotOf(N->Name);
       return R;
     }
     case RefKind::Global: {
@@ -517,7 +555,7 @@ const Node *ProcCompiler::fallthroughOf(const Node *N) {
 void ProcCompiler::placeChain(const Node *N) {
   while (N && Out.PcOfNode[N->Id] == ~0u) {
     Out.PcOfNode[N->Id] = 0; // placed marker; real pc assigned at emission
-    Order.push_back(N);
+    Work.Order.push_back(N);
     N = fallthroughOf(N);
   }
 }
@@ -526,8 +564,8 @@ void ProcCompiler::layout() {
   Out.PcOfNode.assign(P.Nodes.size(), ~0u);
   placeChain(P.EntryPoint);
   // Chains started from secondary successors, in discovery order.
-  for (size_t I = 0; I < Order.size(); ++I) {
-    const Node *N = Order[I];
+  for (size_t I = 0; I < Work.Order.size(); ++I) {
+    const Node *N = Work.Order[I];
     switch (N->kind()) {
     case Node::Kind::Entry:
       for (const auto &[Name, Target] : cast<EntryNode>(N)->Conts)
@@ -557,33 +595,30 @@ void ProcCompiler::layout() {
   // Stragglers (nodes reachable only through continuation values created
   // elsewhere, or plain dead code) still get code so every Node* can be
   // mapped to a pc.
-  for (const auto &N : P.Nodes)
-    placeChain(N.get());
+  for (const Node *N : P.Nodes)
+    placeChain(N);
 }
 
 void ProcCompiler::branchTo(Op K, uint16_t CondReg, const Node *Target,
                             SourceLoc Loc) {
   VmInstr &I = emit(K, Loc);
   I.B = CondReg;
-  Fixups.emplace_back(static_cast<uint32_t>(Out.Code.size() - 1),
+  Work.Fixups.emplace_back(static_cast<uint32_t>(Work.Code.size() - 1),
                       Target->Id);
 }
 
 void ProcCompiler::emitNode(const Node *N, const Node *LaidOutNext) {
-  uint32_t StartPc = static_cast<uint32_t>(Out.Code.size());
+  uint32_t StartPc = static_cast<uint32_t>(Work.Code.size());
   Out.PcOfNode[N->Id] = StartPc;
   resetTemps();
 
   switch (N->kind()) {
   case Node::Kind::Entry: {
     const auto *E = cast<EntryNode>(N);
-    std::vector<std::pair<uint16_t, Node *>> Plan;
-    Plan.reserve(E->Conts.size());
     for (const auto &[Name, Target] : E->Conts)
-      Plan.emplace_back(SlotOf.at(Name), Target);
-    Out.EntryPlans.push_back(std::move(Plan));
+      Out.EntryPlans.Items.push_back({slotOf(Name), Target});
     VmInstr &I = emit(Op::EntryOp, N->Loc);
-    I.Imm = static_cast<uint32_t>(Out.EntryPlans.size() - 1);
+    I.Imm = Out.EntryPlans.endPlan();
     break;
   }
   case Node::Kind::Exit: {
@@ -595,21 +630,18 @@ void ProcCompiler::emitNode(const Node *N, const Node *LaidOutNext) {
   }
   case Node::Kind::CopyIn: {
     const auto *C = cast<CopyInNode>(N);
-    std::vector<CopyDest> Plan;
-    Plan.reserve(C->Vars.size());
     for (Symbol V : C->Vars) {
       CopyDest D;
       if (isLocalBind(V)) {
-        D.Slot = SlotOf.at(V);
+        D.Slot = slotOf(V);
       } else {
         D.Global = true;
         D.Sym = V;
       }
-      Plan.push_back(D);
+      Out.CopyPlans.Items.push_back(D);
     }
-    Out.CopyPlans.push_back(std::move(Plan));
     VmInstr &I = emit(Op::CopyIn, N->Loc);
-    I.Imm = static_cast<uint32_t>(Out.CopyPlans.size() - 1);
+    I.Imm = Out.CopyPlans.endPlan();
     break;
   }
   case Node::Kind::CopyOut: {
@@ -624,7 +656,7 @@ void ProcCompiler::emitNode(const Node *N, const Node *LaidOutNext) {
         continue;
       }
       uint16_t R = compileExpr(C->Exprs[I]);
-      VmInstr &Last = Out.Code.back();
+      VmInstr &Last = Work.Code.back();
       if (Last.K != Op::Wrong && Last.A == R) {
         // Stage straight out of the expression's final instruction; the
         // argument area is still only written at Commit.
@@ -643,13 +675,10 @@ void ProcCompiler::emitNode(const Node *N, const Node *LaidOutNext) {
   }
   case Node::Kind::CalleeSaves: {
     const auto *C = cast<CalleeSavesNode>(N);
-    std::vector<uint16_t> Plan;
-    Plan.reserve(C->Saved.size());
     for (Symbol V : C->Saved)
-      Plan.push_back(SlotOf.at(V));
-    Out.SavePlans.push_back(std::move(Plan));
+      Out.SavePlans.Items.push_back(slotOf(V));
     VmInstr &I = emit(Op::CalleeSaves, N->Loc);
-    I.Imm = static_cast<uint32_t>(Out.SavePlans.size() - 1);
+    I.Imm = Out.SavePlans.endPlan();
     break;
   }
   case Node::Kind::Assign: {
@@ -667,12 +696,12 @@ void ProcCompiler::emitNode(const Node *N, const Node *LaidOutNext) {
       break;
     }
     (void)compileExpr(A->Value);
-    VmInstr &Last = Out.Code.back();
+    VmInstr &Last = Work.Code.back();
     if (Last.K != Op::Wrong) {
       // Retarget the expression's final (value-producing) instruction at
       // the variable's slot; the walker binds only after the whole
       // expression evaluates, which FlagSetsBound preserves.
-      Last.A = SlotOf.at(A->Var);
+      Last.A = slotOf(A->Var);
       Last.Flags |= FlagSetsBound;
     }
     break;
@@ -696,13 +725,13 @@ void ProcCompiler::emitNode(const Node *N, const Node *LaidOutNext) {
       noteRvLoc(1, *Enc, B->Cond);
     } else {
       uint16_t Cond = compileExpr(B->Cond);
-      VmInstr &Last = Out.Code.back();
+      VmInstr &Last = Work.Code.back();
       if (Last.K == Op::Binary && Last.A == Cond) {
         // Fuse the condition's compare into the branch (the temporary is
         // dead past this node; the BinOp moves to the A field).
         Last.K = Op::BranchCmp;
         Last.A = static_cast<uint16_t>(Last.Imm);
-        Fixups.emplace_back(static_cast<uint32_t>(Out.Code.size() - 1),
+        Work.Fixups.emplace_back(static_cast<uint32_t>(Work.Code.size() - 1),
                             B->TrueDst->Id);
       } else {
         branchTo(Op::BranchIf, Cond, B->TrueDst, N->Loc);
@@ -762,7 +791,7 @@ void ProcCompiler::emitNode(const Node *N, const Node *LaidOutNext) {
     if (N->kind() != Node::Kind::Branch && Next != LaidOutNext)
       branchTo(Op::Goto, 0, Next, N->Loc);
 
-  VmInstr &First = Out.Code[StartPc];
+  VmInstr &First = Work.Code[StartPc];
   First.Flags |= FlagStartsNode;
   First.N = N;
 }
@@ -775,12 +804,26 @@ void ProcCompiler::compile() {
   Out.HasBody = true;
   assignSlots();
   layout();
-  for (size_t I = 0; I < Order.size(); ++I)
-    emitNode(Order[I], I + 1 < Order.size() ? Order[I + 1] : nullptr);
-  for (const auto &[InstrIdx, NodeId] : Fixups)
-    Out.Code[InstrIdx].Imm = Out.PcOfNode[NodeId];
+  for (size_t I = 0; I < Work.Order.size(); ++I)
+    emitNode(Work.Order[I],
+             I + 1 < Work.Order.size() ? Work.Order[I + 1] : nullptr);
+  for (const auto &[InstrIdx, NodeId] : Work.Fixups)
+    Work.Code[InstrIdx].Imm = Out.PcOfNode[NodeId];
   Out.EntryPc = Out.PcOfNode[P.EntryPoint->Id];
   Out.NumRegs = MaxRegs;
+
+  Out.Keys.reserve(Work.Code.size());
+  for (const VmInstr &In : Work.Code)
+    Out.Keys.push_back(uint8_t(In.K));
+  takeExact(Out.Code, Work.Code);
+  takeExact(Out.Consts, Work.Consts);
+  takeExact(Out.Syms, Work.Syms);
+  takeExact(Out.RvSlotLocs, Work.RvSlotLocs);
+  for (Symbol S : Work.SlotSyms)
+    Work.SlotOf[S.Id] = Scratch::NoSlot;
+  takeExact(Out.SlotSyms, Work.SlotSyms);
+  Work.Order.clear();
+  Work.Fixups.clear();
 }
 
 } // namespace
@@ -788,15 +831,11 @@ void ProcCompiler::compile() {
 CompiledProgram cmm::compileToBytecode(const IrProgram &Prog) {
   CompiledProgram CP;
   CP.Procs.resize(Prog.Procs.size());
+  Scratch Work(Prog);
   for (size_t I = 0; I < Prog.Procs.size(); ++I) {
-    const IrProc *P = Prog.Procs[I].get();
-    CP.Index.emplace(P, static_cast<uint32_t>(I));
     CompiledProc &C = CP.Procs[I];
-    C.Proc = P;
-    ProcCompiler(Prog, *P, C, CP.MaxOut).compile();
-    C.Keys.reserve(C.Code.size());
-    for (const VmInstr &In : C.Code)
-      C.Keys.push_back(uint8_t(In.K));
+    C.Proc = Prog.Procs[I].get();
+    ProcCompiler(Prog, *C.Proc, C, CP.MaxOut, Work).compile();
   }
   return CP;
 }

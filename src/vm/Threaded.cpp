@@ -233,7 +233,7 @@ CMM_VM_INLINE bool binFast(Value &Out, const Value &L, const Value &R,
 
 #define BODY_COPYIN()                                                          \
   {                                                                            \
-    const std::vector<CopyDest> &Plan = Cur->CopyPlans[I->Imm];                \
+    const std::span<const CopyDest> Plan = Cur->CopyPlans[I->Imm];             \
     if (A.size() < Plan.size()) {                                              \
       goWrong("too few values in the argument-passing area: need " +           \
                   std::to_string(Plan.size()) + ", have " +                    \
@@ -339,7 +339,7 @@ CMM_VM_INLINE bool binFast(Value &Out, const Value &L, const Value &R,
       goWrong("call target is not code (" + Callee.str() + ")", I->Loc);       \
       TRET();                                                                  \
     }                                                                          \
-    const IrProc *Target = CodeTable[TargetIdx];                               \
+    const IrProc *Target = Prog.Procs[TargetIdx].get();                        \
     const auto *CN = cast<CallNode>(I->N);                                     \
     const IrProc *Caller = CurProc;                                            \
     this->Pc = Pc; /* enterProcAt sets the member pc (or, on a bodiless       \
@@ -366,7 +366,7 @@ CMM_VM_INLINE bool binFast(Value &Out, const Value &L, const Value &R,
       goWrong("jump target is not code (" + Callee.str() + ")", I->Loc);       \
       TRET();                                                                  \
     }                                                                          \
-    const IrProc *Target = CodeTable[TargetIdx];                               \
+    const IrProc *Target = Prog.Procs[TargetIdx].get();                        \
     const IrProc *Caller = CurProc;                                            \
     this->Pc = Pc;                                                             \
     enterProcAt(uint32_t(TargetIdx), Target, I->Loc);                          \
@@ -607,14 +607,14 @@ template <bool Observed> void VmMachine::dispatch(uint64_t &Budget) {
   OPCASE(CalleeSaves) {
     NODE_PROLOGUE(*I);
     {
-      const std::vector<uint16_t> &Saved = Cur->SavePlans[I->Imm];
+      const std::span<const uint16_t> Saved = Cur->SavePlans[I->Imm];
       for (uint16_t V : Saved)
         if (std::find(Sigma.begin(), Sigma.end(), V) == Sigma.end())
           ++S.CalleeSaveMoves;
       for (uint16_t V : Sigma)
         if (std::find(Saved.begin(), Saved.end(), V) == Saved.end())
           ++S.CalleeSaveMoves;
-      Sigma = Saved;
+      Sigma.assign(Saved.begin(), Saved.end());
       ++Pc;
     }
     DISPATCH();

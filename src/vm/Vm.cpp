@@ -28,11 +28,6 @@ VmMachine::VmMachine(const IrProgram &Prog)
 VmMachine::VmMachine(const IrProgram &Prog,
                      std::shared_ptr<const CompiledProgram> Shared)
     : Prog(Prog), CPHold(std::move(Shared)), CP(*CPHold) {
-  CodeTable.reserve(Prog.Procs.size());
-  for (const auto &P : Prog.Procs) {
-    CodeIndex.emplace(P.get(), CodeTable.size());
-    CodeTable.push_back(P.get());
-  }
   Staging.resize(std::max<uint32_t>(CP.MaxOut, 1));
   for (const CompiledProc &C : CP.Procs) {
     MaxRegs = std::max<uint32_t>(MaxRegs, C.NumRegs);
@@ -68,15 +63,14 @@ const Value *VmMachine::rvUnbound(uint16_t Slot, const VmInstr &I,
   // Report at the fused operand's own source location when one was
   // recorded — the walker diagnoses the variable reference, not the
   // consuming expression.
-  auto It = Cur->RvSlotLocs.find(uint64_t(Pc) * 4 + Field);
-  wrongUnbound(Slot, It != Cur->RvSlotLocs.end() ? It->second : I.Loc);
+  wrongUnbound(Slot, Cur->rvSlotLoc(Pc, Field, I.Loc));
   return nullptr;
 }
 
 Value VmMachine::codeValue(const IrProc *P) const {
-  auto It = CodeIndex.find(P);
-  assert(It != CodeIndex.end() && "procedure not in this program");
-  return Value::code(It->second);
+  assert(P->Index < Prog.Procs.size() && Prog.Procs[P->Index].get() == P &&
+         "procedure not in this program");
+  return Value::code(P->Index);
 }
 
 const IrProc *VmMachine::decodeCode(const Value &V) const {
@@ -85,9 +79,9 @@ const IrProc *VmMachine::decodeCode(const Value &V) const {
   if ((V.Raw - CodeBase) % CodeStride != 0)
     return nullptr;
   uint64_t Idx = V.codeIndex();
-  if (Idx >= CodeTable.size())
+  if (Idx >= Prog.Procs.size())
     return nullptr;
-  return CodeTable[Idx];
+  return Prog.Procs[Idx].get();
 }
 
 // decodeCodeIdx and newCont live in Vm.h: the dispatch loop hits them on
@@ -191,7 +185,7 @@ void VmMachine::start(std::string_view ProcName, std::vector<Value> Args) {
 }
 
 void VmMachine::enterProc(const IrProc *P, SourceLoc Loc) {
-  enterProcAt(CP.Index.at(P), P, Loc);
+  enterProcAt(P->Index, P, Loc);
 }
 
 void VmMachine::enterProcAt(uint32_t ProcIdx, const IrProc *P,

@@ -136,9 +136,8 @@ protected:
   bool doCutTo(const Value &ContVal, const CutToNode *FromNode);
   const IrProc *decodeCode(const Value &V) const;
   /// decodeCode, but yielding the dense procedure index (-1 when \p V is
-  /// not a valid code value). CodeTable and CP.Procs share IrProgram::Procs
-  /// order, so one index addresses both; the dispatch loop resolves call
-  /// and jump targets through it without byProc's hash lookup.
+  /// not a valid code value). CP.Procs shares IrProgram::Procs order, so
+  /// one index addresses both.
   int64_t decodeCodeIdx(const Value &V) const;
   /// enterProc for a target already resolved to its dense index.
   void enterProcAt(uint32_t ProcIdx, const IrProc *P, SourceLoc Loc);
@@ -179,16 +178,13 @@ protected:
 
   // Bookkeeping beyond the formal state.
   const CompiledProc *Cur = nullptr;
-  /// Dense index of Cur in CP.Procs (== index of CurProc in Prog.Procs and
-  /// CodeTable). The loop's reload path addresses the per-proc key streams
+  /// Dense index of Cur in CP.Procs (== CurProc->Index). The loop's reload path addresses the per-proc key streams
   /// through it without a pointer-difference division.
   uint32_t CurIdx = 0;
   const IrProc *CurProc = nullptr;
   Env GlobalEnv;
   uint64_t NextUid = 1;
   std::vector<ContRecord> ContTable;
-  std::unordered_map<const IrProc *, uint64_t> CodeIndex;
-  std::vector<const IrProc *> CodeTable;
   std::vector<Value> Staging;
   /// Program-wide maxima of CompiledProc::NumRegs/NumSlots: register files
   /// grow straight to these so recycling never resizes (enterProcAt).
@@ -208,7 +204,7 @@ inline int64_t VmMachine::decodeCodeIdx(const Value &V) const {
   if ((V.Raw - CodeBase) % CodeStride != 0)
     return -1;
   uint64_t Idx = V.codeIndex();
-  if (Idx >= CodeTable.size())
+  if (Idx >= Prog.Procs.size())
     return -1;
   return int64_t(Idx);
 }

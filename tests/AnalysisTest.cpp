@@ -251,7 +251,8 @@ f(bits32 a) {
   Node *Call = T.findNode(Node::Kind::Call);
   ASSERT_TRUE(Call);
   auto *CS = T.P->make<CalleeSavesNode>();
-  CS->Saved.push_back(T.Prog->Names->lookup("y"));
+  CS->Saved = T.P->makeList<Symbol>(1);
+  CS->Saved[0] = T.Prog->Names->lookup("y");
   replaceAllSuccessorUses(*T.P, Call, CS);
   CS->Next = Call;
 

@@ -5,9 +5,10 @@
 // counts every heap allocation made inside one compile stage over a fixed
 // corpus, and asserts a committed ceiling per stage: the front end
 // (compileProgram: parse, sema, translate and link, standard library
-// included), optimizeProgram, and compileToBytecode. The counts are
-// deterministic (single thread, fixed seed), so the gates give the same
-// verdict on any host and under any load.
+// included), optimizeProgram, validateProgram and compileToBytecode; and
+// the allocations to build an executor over a compiled artifact. The
+// counts are deterministic (single thread, fixed seed), so the gates give
+// the same verdict on any host and under any load.
 //
 // The corpus is the first CorpusSize programs of cmmbench's compile_churn
 // corpus at seed 1 (same generator draws), optimized with the options that
@@ -17,8 +18,10 @@
 
 #include "costmodel/DispatchWorkloads.h"
 #include "costmodel/RandomProgram.h"
+#include "engine/Engine.h"
 #include "ir/Serialize.h"
 #include "ir/Translate.h"
+#include "ir/Validate.h"
 #include "opt/PassManager.h"
 #include "support/Rng.h"
 #include "vm/Bytecode.h"
@@ -87,8 +90,25 @@ struct Cost {
   uint64_t Programs = 0, Allocs = 0, Bytes = 0;
 };
 
-Cost measure() {
-  Cost C;
+/// Adds what \p Stage allocates to \p C.
+template <typename Fn> void count(Cost &C, Fn Stage) {
+  uint64_t A0 = Allocs.load(), B0 = AllocBytes.load();
+  Counting.store(true);
+  Stage();
+  Counting.store(false);
+  C.Allocs += Allocs.load() - A0;
+  C.Bytes += AllocBytes.load() - B0;
+  ++C.Programs;
+}
+
+/// optimizeProgram, then validateProgram (as the cache's compile does),
+/// over the optimized half of the corpus.
+struct OptCosts {
+  Cost Opt, Validate;
+};
+
+OptCosts measureOpt() {
+  OptCosts C;
   for (const Item &It : makeCorpus(1)) {
     if (!It.Optimize)
       continue;
@@ -98,16 +118,15 @@ Cost measure() {
       ADD_FAILURE() << Diags.str();
       continue;
     }
-    uint64_t A0 = Allocs.load(), B0 = AllocBytes.load();
-    Counting.store(true);
-    OptReport R = optimizeProgram(*Prog, It.Opt);
-    Counting.store(false);
-    C.Allocs += Allocs.load() - A0;
-    C.Bytes += AllocBytes.load() - B0;
-    ++C.Programs;
+    count(C.Opt, [&] { optimizeProgram(*Prog, It.Opt); });
+    bool Valid = false;
+    count(C.Validate, [&] { Valid = validateProgram(*Prog, Diags); });
+    EXPECT_TRUE(Valid) << Diags.str();
   }
   return C;
 }
+
+Cost measure() { return measureOpt().Opt; }
 
 /// Allocations inside optimizeProgram over this corpus before the optimizer
 /// moved to worklist solvers over flat storage (round-robin solvers, a heap
@@ -131,6 +150,23 @@ TEST(OptCost, CountIsDeterministic) {
   EXPECT_EQ(measure().Allocs, measure().Allocs);
 }
 
+/// Allocations inside validateProgram before it checked ownership by node
+/// index (it built a hash set of each procedure's nodes).
+constexpr uint64_t HashSetValidateAllocs = 96995;
+/// The gate: at most a tenth of that.
+constexpr uint64_t ValidateAllocCeiling = HashSetValidateAllocs / 10;
+
+TEST(ValidateCost, AllocationsInsideValidateProgramStayUnderCeiling) {
+  Cost C = measureOpt().Validate;
+  ASSERT_GT(C.Programs, 0u);
+  std::printf("validateProgram: %llu programs, %llu allocations "
+              "(%.1f per program), %llu bytes\n",
+              (unsigned long long)C.Programs, (unsigned long long)C.Allocs,
+              double(C.Allocs) / double(C.Programs),
+              (unsigned long long)C.Bytes);
+  EXPECT_LE(C.Allocs, ValidateAllocCeiling);
+}
+
 /// Allocations inside compileProgram (front end) and compileToBytecode over
 /// the whole corpus: every program is compiled, the optimized half is
 /// optimized (uncounted) before its bytecode compile, as in the workload.
@@ -143,27 +179,15 @@ StageCosts measureStages() {
   for (const Item &It : makeCorpus(1)) {
     std::vector<std::string> Sources{It.Source};
     DiagnosticEngine Diags;
-    uint64_t A0 = Allocs.load(), B0 = AllocBytes.load();
-    Counting.store(true);
-    std::unique_ptr<IrProgram> Prog = compileProgram(Sources, Diags);
-    Counting.store(false);
-    C.Front.Allocs += Allocs.load() - A0;
-    C.Front.Bytes += AllocBytes.load() - B0;
-    ++C.Front.Programs;
+    std::unique_ptr<IrProgram> Prog;
+    count(C.Front, [&] { Prog = compileProgram(Sources, Diags); });
     if (!Prog) {
       ADD_FAILURE() << Diags.str();
       continue;
     }
     if (It.Optimize)
       optimizeProgram(*Prog, It.Opt);
-    A0 = Allocs.load();
-    B0 = AllocBytes.load();
-    Counting.store(true);
-    CompiledProgram Bc = compileToBytecode(*Prog);
-    Counting.store(false);
-    C.Bytecode.Allocs += Allocs.load() - A0;
-    C.Bytecode.Bytes += AllocBytes.load() - B0;
-    ++C.Bytecode.Programs;
+    count(C.Bytecode, [&] { CompiledProgram Bc = compileToBytecode(*Prog); });
   }
   return C;
 }
@@ -181,12 +205,15 @@ void print(const char *Stage, const Cost &C) {
 /// moved to source-view tokens, an open-addressed interner and one arena per
 /// module (a heap node per AST node, vector and interned name).
 constexpr uint64_t HeapAstFrontAllocs = 1314072;
-/// The front-end gate: at most a fifth of that. IrProc::Nodes keeps one heap
-/// node per graph node, over half of what remains.
-constexpr uint64_t FrontAllocCeiling = HeapAstFrontAllocs / 5;
-/// Allocations inside compileToBytecode over this corpus (unchanged by the
-/// front-end rework); the gate keeps it from growing.
-constexpr uint64_t BytecodeAllocCeiling = 416071;
+/// The front-end gate: at most a twentieth of that. Graph nodes and their
+/// lists live in one arena per procedure, sized before translation.
+constexpr uint64_t FrontAllocCeiling = HeapAstFrontAllocs / 20;
+/// Allocations inside compileToBytecode over this corpus before the
+/// compiler moved to per-program scratch storage, flat plan tables and a
+/// symbol-indexed slot table.
+constexpr uint64_t HashMapBytecodeAllocs = 416071;
+/// The bytecode gate: at most a quarter of that.
+constexpr uint64_t BytecodeAllocCeiling = HashMapBytecodeAllocs / 4;
 
 TEST(FrontCost, AllocationsInsideCompileProgramStayUnderCeiling) {
   StageCosts C = measureStages();
@@ -206,6 +233,30 @@ TEST(FrontCost, CountsAreDeterministic) {
   StageCosts A = measureStages(), B = measureStages();
   EXPECT_EQ(A.Front.Allocs, B.Front.Allocs);
   EXPECT_EQ(A.Bytecode.Allocs, B.Bytecode.Allocs);
+  EXPECT_EQ(measureOpt().Validate.Allocs, measureOpt().Validate.Allocs);
+}
+
+/// An executor over an artifact whose compiled streams already exist: what
+/// a service request pays per run and a green-thread schedule per spawn.
+/// The executor object and, on the bytecode backends, its staging area;
+/// no per-procedure index.
+constexpr uint64_t ExecutorAllocCeiling = 2;
+
+TEST(ExecutorCost, ConstructionOverACompiledArtifactStaysUnderCeiling) {
+  engine::CompileRequest Req;
+  Req.Sources = {makeCorpus(1, 1)[0].Source};
+  std::shared_ptr<const engine::ProgramArtifact> A =
+      engine::compileArtifact(Req);
+  ASSERT_TRUE(A->ok());
+  for (engine::Backend B : engine::AllBackends) {
+    A->newExecutor(B); // builds the artifact's shared streams
+    Cost C;
+    count(C, [&] { std::unique_ptr<Executor> E = A->newExecutor(B); });
+    std::printf("newExecutor(%s): %llu allocations\n",
+                std::string(engine::backendName(B)).c_str(),
+                (unsigned long long)C.Allocs);
+    EXPECT_LE(C.Allocs, ExecutorAllocCeiling) << engine::backendName(B);
+  }
 }
 
 } // namespace
