@@ -172,7 +172,12 @@ void chaosWorker(ServiceHarness &H,
 TEST(ServiceSoak, MultiClientMixedTrafficStaysConsistent) {
   svc::ServerOptions O;
   O.Threads = 4;
-  O.SessionTtlMillis = 100; // let the reaper run against live churn
+  // Let the reaper run against live churn: chaos sessions parked in the
+  // first half of the run expire while the workers still run. The TTL must
+  // also outlast a worker's park-to-resume round trip on a loaded host;
+  // at 100 ms, CPU contention (four soaks under TSan beside eight busy
+  // loops on 4 vCPUs) expired well-behaved sessions after 100-139 ms idle.
+  O.SessionTtlMillis = 1000;
   ServiceHarness H(std::move(O));
   ASSERT_TRUE(H.ok());
 
@@ -199,12 +204,14 @@ TEST(ServiceSoak, MultiClientMixedTrafficStaysConsistent) {
   EXPECT_EQ(Failures, 0u) << "well-behaved clients saw failures";
   EXPECT_GT(Violations.load(), 0u) << "chaos thread never fired";
 
-  // Abandoned chaos sessions must eventually be reaped.
-  for (int I = 0; I < 200 && H.server().sessionsOpen() > 0; ++I)
+  // Abandoned chaos sessions must eventually be reaped (within a TTL and a
+  // reaper interval of the last park, plus slack for a loaded host).
+  for (int I = 0; I < 500 && H.server().sessionsOpen() > 0; ++I)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(H.server().sessionsOpen(), 0);
 
   MetricsRegistry &M = H.server().metrics();
+  EXPECT_GT(M.counter("svc.sessions_expired").value(), 0u);
   EXPECT_GE(M.counter("svc.bad_frames").value(), Violations.load());
   // Soak-wide ledger: the bad frames all came from the chaos connection,
   // which never got a run admitted — so the run/jobs invariant still holds.
