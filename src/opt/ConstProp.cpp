@@ -6,6 +6,7 @@
 
 #include "opt/ConstProp.h"
 
+#include "sem/Ops.h"
 #include "support/Assert.h"
 #include "syntax/PrimOps.h"
 
@@ -20,7 +21,8 @@ namespace {
 // Folding
 //===----------------------------------------------------------------------===//
 
-/// Evaluates \p E when all leaves are known and evaluation cannot fail.
+/// Evaluates \p E when all leaves are known and evaluation cannot fail:
+/// sem/Ops.h applies each operator, and a stuck application is not folded.
 /// \p Lookup(Symbol) gives a variable's known value, if any.
 template <typename LookupFn>
 std::optional<Value> fold(const Expr *E, const LookupFn &Lookup,
@@ -45,87 +47,27 @@ std::optional<Value> fold(const Expr *E, const LookupFn &Lookup,
   case Expr::Kind::Unary: {
     const auto *U = cast<UnaryExpr>(E);
     std::optional<Value> V = fold(U->Operand, Lookup, Names);
-    if (!V)
+    Value Out;
+    if (!V || applyUnary(Out, *V, U->Op) != OpStuck::None)
       return std::nullopt;
-    switch (U->Op) {
-    case UnOp::Neg:
-      if (V->isFloat())
-        return Value::flt(V->Width, -V->F);
-      return Value::bits(V->Width, 0 - V->Raw);
-    case UnOp::Com:
-      if (!V->isBits())
-        return std::nullopt;
-      return Value::bits(V->Width, ~V->Raw);
-    case UnOp::Not:
-      if (!V->isBits())
-        return std::nullopt;
-      return Value::bits(32, V->Raw == 0 ? 1 : 0);
-    }
-    return std::nullopt;
+    return Out;
   }
 
   case Expr::Kind::Binary: {
     const auto *B = cast<BinaryExpr>(E);
     std::optional<Value> L = fold(B->Lhs, Lookup, Names);
     std::optional<Value> R = fold(B->Rhs, Lookup, Names);
-    if (!L || !R)
+    Value Out;
+    if (!L || !R || applyBinary(Out, *L, *R, B->Op) != OpStuck::None)
       return std::nullopt;
-    if (L->isFloat() || R->isFloat()) {
-      if (!(L->isFloat() && R->isFloat()))
-        return std::nullopt;
-      switch (B->Op) {
-      case BinOp::Add: return Value::flt(L->Width, L->F + R->F);
-      case BinOp::Sub: return Value::flt(L->Width, L->F - R->F);
-      case BinOp::Mul: return Value::flt(L->Width, L->F * R->F);
-      case BinOp::Div: return Value::flt(L->Width, L->F / R->F);
-      case BinOp::Eq: return Value::bits(32, L->F == R->F);
-      case BinOp::Ne: return Value::bits(32, L->F != R->F);
-      case BinOp::LtS: return Value::bits(32, L->F < R->F);
-      case BinOp::LeS: return Value::bits(32, L->F <= R->F);
-      case BinOp::GtS: return Value::bits(32, L->F > R->F);
-      case BinOp::GeS: return Value::bits(32, L->F >= R->F);
-      default: return std::nullopt;
-      }
-    }
-    if (!L->isBits() || !R->isBits() || L->Width != R->Width)
-      return std::nullopt;
-    unsigned W = L->Width;
-    uint64_t X = L->Raw, Y = R->Raw;
-    int64_t SX = signExtend(X, W), SY = signExtend(Y, W);
-    switch (B->Op) {
-    case BinOp::Add: return Value::bits(W, X + Y);
-    case BinOp::Sub: return Value::bits(W, X - Y);
-    case BinOp::Mul: return Value::bits(W, X * Y);
-    case BinOp::Div:
-      // Fold only when the division provably succeeds: the failure
-      // behaviour of the fast variant is unspecified and must be preserved.
-      if (SY == 0 || (SX == signExtend(signedMin(W), W) && SY == -1))
-        return std::nullopt;
-      return Value::bits(W, static_cast<uint64_t>(SX / SY));
-    case BinOp::Mod:
-      if (SY == 0 || (SX == signExtend(signedMin(W), W) && SY == -1))
-        return std::nullopt;
-      return Value::bits(W, static_cast<uint64_t>(SX % SY));
-    case BinOp::And: return Value::bits(W, X & Y);
-    case BinOp::Or: return Value::bits(W, X | Y);
-    case BinOp::Xor: return Value::bits(W, X ^ Y);
-    case BinOp::Shl: return Value::bits(W, Y >= W ? 0 : X << Y);
-    case BinOp::Shr: return Value::bits(W, Y >= W ? 0 : X >> Y);
-    case BinOp::Eq: return Value::bits(32, X == Y);
-    case BinOp::Ne: return Value::bits(32, X != Y);
-    case BinOp::LtS: return Value::bits(32, SX < SY);
-    case BinOp::LeS: return Value::bits(32, SX <= SY);
-    case BinOp::GtS: return Value::bits(32, SX > SY);
-    case BinOp::GeS: return Value::bits(32, SX >= SY);
-    }
-    return std::nullopt;
+    return Out;
   }
 
   case Expr::Kind::Prim: {
     const auto *P = cast<PrimExpr>(E);
-    // Sema checks arity: every primitive takes one or two operands. The
-    // operands are folded before the (string-keyed) primitive lookup, which
-    // most expressions then never reach.
+    // Every primitive takes one or two operands. The operands are folded
+    // before the (string-keyed) primitive lookup, which most expressions
+    // then never reach.
     Value Args[2];
     if (P->Args.size() > std::size(Args))
       return std::nullopt;
@@ -136,68 +78,16 @@ std::optional<Value> fold(const Expr *E, const LookupFn &Lookup,
       Args[I] = *V;
     }
     std::optional<PrimKind> K = lookupPrim(Names.spelling(P->Name));
-    if (!K)
+    // Signed division, %shra and everything touching floats are not folded:
+    // they are rare enough in practice that the conservative answer costs
+    // nothing, and the optimizer's output stays as it is.
+    if (!K || *K == PrimKind::DivS || *K == PrimKind::ModS ||
+        *K == PrimKind::ShrA || primTouchesFloat(*K))
       return std::nullopt;
-    // Fold only operand shapes the machine would accept: Bits operands of
-    // the width the primitive expects. A float or mixed-width operand
-    // (reachable dynamically through an indirect call even though the
-    // static checker rejects it at direct call sites) must keep its
-    // go-wrong behaviour rather than fold to a .Raw reinterpretation.
-    auto BitsSameWidth = [&](unsigned W) {
-      return Args[0].isBits() && Args[1].isBits() && Args[0].Width == W &&
-             Args[1].Width == W;
-    };
-    auto BitsOfWidth = [&](unsigned W) {
-      return Args[0].isBits() && Args[0].Width == W;
-    };
-    unsigned W = P->Args.empty() ? 32 : Args[0].Width;
-    switch (*K) {
-    case PrimKind::DivU:
-      if (!BitsSameWidth(W) || Args[1].Raw == 0)
-        return std::nullopt;
-      return Value::bits(W, Args[0].Raw / Args[1].Raw);
-    case PrimKind::ModU:
-      if (!BitsSameWidth(W) || Args[1].Raw == 0)
-        return std::nullopt;
-      return Value::bits(W, Args[0].Raw % Args[1].Raw);
-    case PrimKind::LtU:
-      if (!BitsSameWidth(W))
-        return std::nullopt;
-      return Value::bits(32, Args[0].Raw < Args[1].Raw);
-    case PrimKind::LeU:
-      if (!BitsSameWidth(W))
-        return std::nullopt;
-      return Value::bits(32, Args[0].Raw <= Args[1].Raw);
-    case PrimKind::GtU:
-      if (!BitsSameWidth(W))
-        return std::nullopt;
-      return Value::bits(32, Args[0].Raw > Args[1].Raw);
-    case PrimKind::GeU:
-      if (!BitsSameWidth(W))
-        return std::nullopt;
-      return Value::bits(32, Args[0].Raw >= Args[1].Raw);
-    case PrimKind::Zx64:
-      if (!BitsOfWidth(32))
-        return std::nullopt;
-      return Value::bits(64, Args[0].Raw);
-    case PrimKind::Sx64:
-      if (!BitsOfWidth(32))
-        return std::nullopt;
-      return Value::bits(64,
-                         static_cast<uint64_t>(signExtend(Args[0].Raw, 32)));
-    case PrimKind::Lo32:
-      if (!BitsOfWidth(64))
-        return std::nullopt;
-      return Value::bits(32, Args[0].Raw);
-    case PrimKind::Hi32:
-      if (!BitsOfWidth(64))
-        return std::nullopt;
-      return Value::bits(32, Args[0].Raw >> 32);
-    default:
-      // Signed division, shifts and float primitives: folded rarely enough
-      // that the conservative answer costs nothing.
+    Value Out;
+    if (applyPrim(Out, *K, Args, unsigned(P->Args.size())) != OpStuck::None)
       return std::nullopt;
-    }
+    return Out;
   }
   }
   return std::nullopt;

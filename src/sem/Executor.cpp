@@ -2,21 +2,21 @@
 //
 // Part of cmmex (see DESIGN.md).
 //
-// Backend-shared pieces of the executor interface: link-time-constant
-// expression evaluation and the resume-parameter-count query. Both are pure
-// functions of state every backend already exposes, so they live here once
-// instead of twice.
+// Backend-shared pieces of the executor interface: link-time constants,
+// Code values and the resume-parameter-count query. Each is a pure function
+// of state every backend already exposes, so it lives here once.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sem/Executor.h"
 
+#include "support/Assert.h"
 #include "support/Casting.h"
 
 using namespace cmm;
 
-std::optional<Value> Executor::evalConstExpr(const Expr *E) const {
-  const IrProgram &Prog = program();
+std::optional<Value> cmm::linkTimeConstant(const IrProgram &Prog,
+                                           const Expr *E) {
   switch (E->kind()) {
   case Expr::Kind::IntLit:
     return Value::bits(E->Ty.Width, cast<IntLitExpr>(E)->Value);
@@ -36,7 +36,7 @@ std::optional<Value> Executor::evalConstExpr(const Expr *E) const {
     }
     if (N->Ref == RefKind::Proc || N->Ref == RefKind::Import) {
       if (const IrProc *P = Prog.findProc(N->Name))
-        return codeValue(P);
+        return Value::code(P->Index);
       auto It = Prog.DataAddrs.find(N->Name);
       if (It != Prog.DataAddrs.end())
         return Value::bits(TargetInfo::nativePointer().Width, It->second);
@@ -47,6 +47,13 @@ std::optional<Value> Executor::evalConstExpr(const Expr *E) const {
   default:
     return std::nullopt;
   }
+}
+
+Value Executor::codeValue(const IrProc *P) const {
+  assert(P->Index < program().Procs.size() &&
+         program().Procs[P->Index].get() == P &&
+         "procedure not in this program");
+  return Value::code(P->Index);
 }
 
 std::optional<unsigned>

@@ -79,6 +79,12 @@ struct ResumeChoice {
   static ResumeChoice cut(Value V) { return {Kind::Cut, 0, V}; }
 };
 
+/// The value of the link-time-constant expression \p E in \p Prog: an
+/// integer literal, a string literal's address, a data label, or a
+/// procedure's Code value. nullopt for any other expression. The executors
+/// and the bytecode compiler resolve constants through this one function.
+std::optional<Value> linkTimeConstant(const IrProgram &Prog, const Expr *E);
+
 /// The backend-neutral executor interface. One Executor is one C-- thread.
 class Executor {
 public:
@@ -131,15 +137,16 @@ public:
   virtual void setGlobal(std::string_view Name, const Value &V) = 0;
 
   /// The Code value denoting \p P.
-  virtual Value codeValue(const IrProc *P) const = 0;
+  Value codeValue(const IrProc *P) const;
 
   /// Decodes a value as a continuation; null when it is not one.
   virtual const ContRecord *decodeCont(const Value &V) const = 0;
 
   /// Evaluates a link-time-constant expression (descriptors). Returns
-  /// nullopt for non-constant expressions. Both backends share the default
-  /// implementation in Executor.cpp.
-  virtual std::optional<Value> evalConstExpr(const Expr *E) const;
+  /// nullopt for non-constant expressions.
+  std::optional<Value> evalConstExpr(const Expr *E) const {
+    return linkTimeConstant(program(), E);
+  }
 
   //===--------------------------------------------------------------------===//
   // Substrate for the run-time system (Table 1 lives in src/rts)

@@ -7,6 +7,7 @@
 #include "sem/Machine.h"
 
 #include "sem/Observer.h"
+#include "sem/Ops.h"
 #include "support/Assert.h"
 #include "support/Casting.h"
 #include "syntax/PrimOps.h"
@@ -25,12 +26,6 @@ void Machine::goWrong(std::string Reason, SourceLoc Loc) {
   WrongLoc = Loc;
   if (Obs)
     Obs->onWrong(*this, WrongReason, WrongLoc);
-}
-
-Value Machine::codeValue(const IrProc *P) const {
-  assert(P->Index < Prog.Procs.size() && Prog.Procs[P->Index].get() == P &&
-         "procedure not in this program");
-  return Value::code(P->Index);
 }
 
 void Machine::start(std::string_view ProcName, std::vector<Value> Args) {
@@ -234,17 +229,12 @@ std::optional<Value> Machine::evalUnary(const UnaryExpr *U) {
   std::optional<Value> V = evalExpr(U->Operand);
   if (!V)
     return std::nullopt;
-  switch (U->Op) {
-  case UnOp::Neg:
-    if (V->isFloat())
-      return Value::flt(V->Width, -V->F);
-    return Value::bits(V->Width, 0 - V->Raw);
-  case UnOp::Com:
-    return Value::bits(V->Width, ~V->Raw);
-  case UnOp::Not:
-    return Value::bits(32, V->Raw == 0 ? 1 : 0);
+  Value Out;
+  if (OpStuck Why = applyUnary(Out, *V, U->Op); Why != OpStuck::None) {
+    goWrong(opStuckReason(Why, U->Op, *V), U->loc());
+    return std::nullopt;
   }
-  cmm_unreachable("unknown unary operator");
+  return Out;
 }
 
 std::optional<Value> Machine::evalBinary(const BinaryExpr *B) {
@@ -254,79 +244,12 @@ std::optional<Value> Machine::evalBinary(const BinaryExpr *B) {
   std::optional<Value> R = evalExpr(B->Rhs);
   if (!R)
     return std::nullopt;
-
-  if (L->isFloat() || R->isFloat()) {
-    // A Bits operand carries no meaningful .F, so mixing kinds would
-    // silently compute with 0.0 — go wrong instead, like the other kind
-    // confusions on this path.
-    if (!(L->isFloat() && R->isFloat())) {
-      goWrong("mixed floating-point and bit operands", B->loc());
-      return std::nullopt;
-    }
-    double X = L->F, Y = R->F;
-    switch (B->Op) {
-    case BinOp::Add: return Value::flt(L->Width, X + Y);
-    case BinOp::Sub: return Value::flt(L->Width, X - Y);
-    case BinOp::Mul: return Value::flt(L->Width, X * Y);
-    case BinOp::Div: return Value::flt(L->Width, X / Y);
-    case BinOp::Eq: return Value::bits(32, X == Y);
-    case BinOp::Ne: return Value::bits(32, X != Y);
-    case BinOp::LtS: return Value::bits(32, X < Y);
-    case BinOp::LeS: return Value::bits(32, X <= Y);
-    case BinOp::GtS: return Value::bits(32, X > Y);
-    case BinOp::GeS: return Value::bits(32, X >= Y);
-    default:
-      goWrong("bit operation on floating-point operands", B->loc());
-      return std::nullopt;
-    }
+  Value Out;
+  if (OpStuck Why = applyBinary(Out, *L, *R, B->Op); Why != OpStuck::None) {
+    goWrong(opStuckReason(Why, B->Op, *L, *R), B->loc());
+    return std::nullopt;
   }
-
-  unsigned W = L->Width;
-  uint64_t X = L->Raw, Y = R->Raw;
-  int64_t SX = signExtend(X, W), SY = signExtend(Y, W);
-  switch (B->Op) {
-  case BinOp::Add: return Value::bits(W, X + Y);
-  case BinOp::Sub: return Value::bits(W, X - Y);
-  case BinOp::Mul: return Value::bits(W, X * Y);
-  case BinOp::Div:
-    // The fast-but-dangerous signed divide (Section 4.3): failure behaviour
-    // is unspecified, which the abstract machine models as going wrong.
-    if (SY == 0) {
-      goWrong("unspecified: signed division by zero (use %%divs for the "
-              "checked variant)",
-              B->loc());
-      return std::nullopt;
-    }
-    if (SX == signExtend(signedMin(W), W) && SY == -1) {
-      goWrong("unspecified: signed division overflow", B->loc());
-      return std::nullopt;
-    }
-    return Value::bits(W, static_cast<uint64_t>(SX / SY));
-  case BinOp::Mod:
-    if (SY == 0) {
-      goWrong("unspecified: signed modulus by zero (use %%mods for the "
-              "checked variant)",
-              B->loc());
-      return std::nullopt;
-    }
-    if (SX == signExtend(signedMin(W), W) && SY == -1)
-      return Value::bits(W, 0);
-    return Value::bits(W, static_cast<uint64_t>(SX % SY));
-  case BinOp::And: return Value::bits(W, X & Y);
-  case BinOp::Or: return Value::bits(W, X | Y);
-  case BinOp::Xor: return Value::bits(W, X ^ Y);
-  case BinOp::Shl:
-    return Value::bits(W, Y >= W ? 0 : X << Y);
-  case BinOp::Shr:
-    return Value::bits(W, Y >= W ? 0 : X >> Y);
-  case BinOp::Eq: return Value::bits(32, X == Y);
-  case BinOp::Ne: return Value::bits(32, X != Y);
-  case BinOp::LtS: return Value::bits(32, SX < SY);
-  case BinOp::LeS: return Value::bits(32, SX <= SY);
-  case BinOp::GtS: return Value::bits(32, SX > SY);
-  case BinOp::GeS: return Value::bits(32, SX >= SY);
-  }
-  cmm_unreachable("unknown binary operator");
+  return Out;
 }
 
 std::optional<Value> Machine::evalPrim(const PrimExpr *P) {
@@ -335,178 +258,24 @@ std::optional<Value> Machine::evalPrim(const PrimExpr *P) {
     goWrong("unknown primitive", P->loc());
     return std::nullopt;
   }
-  std::vector<Value> Args;
+  // Every operand is evaluated, in order, even past the two any primitive
+  // reads: applyPrim rejects a wrong count before it reads one.
+  Value Args[2];
+  unsigned Count = 0;
   for (const Expr *AE : P->Args) {
     std::optional<Value> V = evalExpr(AE);
     if (!V)
       return std::nullopt;
-    Args.push_back(*V);
+    if (Count < std::size(Args))
+      Args[Count] = *V;
+    ++Count;
   }
-  auto WrongZero = [&]() {
-    goWrong(std::string("unspecified: ") + primName(*K) +
-                " with zero divisor (use the %% variant)",
-            P->loc());
-    return std::optional<Value>();
-  };
-  // Operand-kind discipline, mirroring the binary-op path: the static
-  // checker guarantees these shapes at direct call sites, but an indirect
-  // call can launder a float (or a mis-sized word) into any parameter, so
-  // reinterpreting .Raw / .F here would silently compute garbage.
-  auto NeedBits = [&](unsigned Count, unsigned Width) {
-    for (unsigned I = 0; I < Count; ++I) {
-      if (!Args[I].isBits()) {
-        goWrong(std::string(primName(*K)) +
-                    " applied to a floating-point operand",
-                P->loc());
-        return false;
-      }
-      if (Width != 0 && Args[I].Width != Width) {
-        goWrong(std::string(primName(*K)) + " applied to a bits" +
-                    std::to_string(Args[I].Width) + " operand",
-                P->loc());
-        return false;
-      }
-    }
-    return true;
-  };
-  auto NeedFloats = [&](unsigned Count) {
-    for (unsigned I = 0; I < Count; ++I)
-      if (!Args[I].isFloat()) {
-        goWrong(std::string(primName(*K)) + " applied to a bit operand",
-                P->loc());
-        return false;
-      }
-    return true;
-  };
-  unsigned W = Args.empty() ? 32 : Args[0].Width;
-  switch (*K) {
-  case PrimKind::DivU:
-    if (!NeedBits(2, W))
-      return std::nullopt;
-    if (Args[1].Raw == 0)
-      return WrongZero();
-    return Value::bits(W, Args[0].Raw / Args[1].Raw);
-  case PrimKind::ModU:
-    if (!NeedBits(2, W))
-      return std::nullopt;
-    if (Args[1].Raw == 0)
-      return WrongZero();
-    return Value::bits(W, Args[0].Raw % Args[1].Raw);
-  case PrimKind::DivS: {
-    if (!NeedBits(2, W))
-      return std::nullopt;
-    int64_t X = signExtend(Args[0].Raw, W), Y = signExtend(Args[1].Raw, W);
-    if (Y == 0)
-      return WrongZero();
-    if (X == signExtend(signedMin(W), W) && Y == -1) {
-      goWrong("unspecified: %divs overflow", P->loc());
-      return std::nullopt;
-    }
-    return Value::bits(W, static_cast<uint64_t>(X / Y));
+  Value Out;
+  if (OpStuck Why = applyPrim(Out, *K, Args, Count); Why != OpStuck::None) {
+    goWrong(opStuckReason(Why, *K, Args), P->loc());
+    return std::nullopt;
   }
-  case PrimKind::ModS: {
-    if (!NeedBits(2, W))
-      return std::nullopt;
-    int64_t X = signExtend(Args[0].Raw, W), Y = signExtend(Args[1].Raw, W);
-    if (Y == 0)
-      return WrongZero();
-    if (X == signExtend(signedMin(W), W) && Y == -1)
-      return Value::bits(W, 0);
-    return Value::bits(W, static_cast<uint64_t>(X % Y));
-  }
-  case PrimKind::LtU:
-    if (!NeedBits(2, W))
-      return std::nullopt;
-    return Value::bits(32, Args[0].Raw < Args[1].Raw);
-  case PrimKind::LeU:
-    if (!NeedBits(2, W))
-      return std::nullopt;
-    return Value::bits(32, Args[0].Raw <= Args[1].Raw);
-  case PrimKind::GtU:
-    if (!NeedBits(2, W))
-      return std::nullopt;
-    return Value::bits(32, Args[0].Raw > Args[1].Raw);
-  case PrimKind::GeU:
-    if (!NeedBits(2, W))
-      return std::nullopt;
-    return Value::bits(32, Args[0].Raw >= Args[1].Raw);
-  case PrimKind::ShrA: {
-    if (!NeedBits(2, W))
-      return std::nullopt;
-    int64_t X = signExtend(Args[0].Raw, W);
-    uint64_t C = Args[1].Raw;
-    if (C >= W)
-      return Value::bits(W, X < 0 ? ~uint64_t(0) : 0);
-    return Value::bits(W, static_cast<uint64_t>(X >> C));
-  }
-  case PrimKind::Zx64:
-    if (!NeedBits(1, 32))
-      return std::nullopt;
-    return Value::bits(64, Args[0].Raw);
-  case PrimKind::Sx64:
-    if (!NeedBits(1, 32))
-      return std::nullopt;
-    return Value::bits(64, static_cast<uint64_t>(signExtend(Args[0].Raw, 32)));
-  case PrimKind::Lo32:
-    if (!NeedBits(1, 64))
-      return std::nullopt;
-    return Value::bits(32, Args[0].Raw);
-  case PrimKind::Hi32:
-    if (!NeedBits(1, 64))
-      return std::nullopt;
-    return Value::bits(32, Args[0].Raw >> 32);
-  case PrimKind::FAdd:
-    if (!NeedFloats(2))
-      return std::nullopt;
-    return Value::flt(Args[0].Width, Args[0].F + Args[1].F);
-  case PrimKind::FSub:
-    if (!NeedFloats(2))
-      return std::nullopt;
-    return Value::flt(Args[0].Width, Args[0].F - Args[1].F);
-  case PrimKind::FMul:
-    if (!NeedFloats(2))
-      return std::nullopt;
-    return Value::flt(Args[0].Width, Args[0].F * Args[1].F);
-  case PrimKind::FDiv:
-    if (!NeedFloats(2))
-      return std::nullopt;
-    return Value::flt(Args[0].Width, Args[0].F / Args[1].F);
-  case PrimKind::FNeg:
-    if (!NeedFloats(1))
-      return std::nullopt;
-    return Value::flt(Args[0].Width, -Args[0].F);
-  case PrimKind::FEq:
-    if (!NeedFloats(2))
-      return std::nullopt;
-    return Value::bits(32, Args[0].F == Args[1].F);
-  case PrimKind::FNe:
-    if (!NeedFloats(2))
-      return std::nullopt;
-    return Value::bits(32, Args[0].F != Args[1].F);
-  case PrimKind::FLt:
-    if (!NeedFloats(2))
-      return std::nullopt;
-    return Value::bits(32, Args[0].F < Args[1].F);
-  case PrimKind::FLe:
-    if (!NeedFloats(2))
-      return std::nullopt;
-    return Value::bits(32, Args[0].F <= Args[1].F);
-  case PrimKind::I2F:
-    if (!NeedBits(1, 32))
-      return std::nullopt;
-    return Value::flt(64, static_cast<double>(signExtend(Args[0].Raw, 32)));
-  case PrimKind::F2I: {
-    if (!NeedFloats(1))
-      return std::nullopt;
-    double D = Args[0].F;
-    if (!(D >= -2147483648.0 && D < 2147483648.0)) {
-      goWrong("unspecified: %f2i out of range", P->loc());
-      return std::nullopt;
-    }
-    return Value::bits(32, static_cast<uint64_t>(static_cast<int64_t>(D)));
-  }
-  }
-  cmm_unreachable("unknown primitive kind");
+  return Out;
 }
 
 std::optional<Value> Machine::evalExpr(const Expr *E) {

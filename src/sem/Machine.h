@@ -108,9 +108,6 @@ public:
   std::optional<Value> getGlobal(std::string_view Name) const override;
   void setGlobal(std::string_view Name, const Value &V) override;
 
-  /// The Code value denoting \p P.
-  Value codeValue(const IrProc *P) const override;
-
   /// Decodes a value as a continuation; null when it is not one.
   const ContRecord *decodeCont(const Value &V) const override;
 

@@ -301,28 +301,6 @@ unsigned opPrec(BinOp Op) {
   cmm_unreachable("unknown binary operator");
 }
 
-const char *opSpelling(BinOp Op) {
-  switch (Op) {
-  case BinOp::Add: return "+";
-  case BinOp::Sub: return "-";
-  case BinOp::Mul: return "*";
-  case BinOp::Div: return "/";
-  case BinOp::Mod: return "%";
-  case BinOp::And: return "&";
-  case BinOp::Or: return "|";
-  case BinOp::Xor: return "^";
-  case BinOp::Shl: return "<<";
-  case BinOp::Shr: return ">>";
-  case BinOp::Eq: return "==";
-  case BinOp::Ne: return "!=";
-  case BinOp::LtS: return "<";
-  case BinOp::LeS: return "<=";
-  case BinOp::GtS: return ">";
-  case BinOp::GeS: return ">=";
-  }
-  cmm_unreachable("unknown binary operator");
-}
-
 std::string PrinterImpl::exprStr(const Expr &E, unsigned ParentPrec) {
   switch (E.kind()) {
   case Expr::Kind::IntLit:
@@ -347,7 +325,7 @@ std::string PrinterImpl::exprStr(const Expr &E, unsigned ParentPrec) {
   case Expr::Kind::Binary: {
     const auto &B = *cast<BinaryExpr>(&E);
     unsigned Prec = opPrec(B.Op);
-    std::string S = exprStr(*B.Lhs, Prec) + " " + opSpelling(B.Op) + " " +
+    std::string S = exprStr(*B.Lhs, Prec) + " " + binOpSpelling(B.Op) + " " +
                     exprStr(*B.Rhs, Prec + 1);
     if (Prec < ParentPrec)
       return "(" + S + ")";
@@ -373,4 +351,26 @@ std::string cmm::printExpr(const Expr &E, const Interner &Names) {
   PrinterImpl P(Names);
   P.expr(E, 0);
   return std::move(P.Out);
+}
+
+const char *cmm::binOpSpelling(BinOp Op) {
+  switch (Op) {
+  case BinOp::Add: return "+";
+  case BinOp::Sub: return "-";
+  case BinOp::Mul: return "*";
+  case BinOp::Div: return "/";
+  case BinOp::Mod: return "%";
+  case BinOp::And: return "&";
+  case BinOp::Or: return "|";
+  case BinOp::Xor: return "^";
+  case BinOp::Shl: return "<<";
+  case BinOp::Shr: return ">>";
+  case BinOp::Eq: return "==";
+  case BinOp::Ne: return "!=";
+  case BinOp::LtS: return "<";
+  case BinOp::LeS: return "<=";
+  case BinOp::GtS: return ">";
+  case BinOp::GeS: return ">=";
+  }
+  cmm_unreachable("unknown binary operator");
 }

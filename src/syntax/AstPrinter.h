@@ -26,6 +26,9 @@ std::string printModule(const Module &Mod);
 /// the interner that owns the names appearing in \p E.
 std::string printExpr(const Expr &E, const Interner &Names);
 
+/// The source spelling of \p Op ("+", "<=", ...).
+const char *binOpSpelling(BinOp Op);
+
 } // namespace cmm
 
 #endif // CMM_SYNTAX_ASTPRINTER_H

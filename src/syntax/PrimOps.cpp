@@ -87,6 +87,8 @@ unsigned cmm::primArity(PrimKind K) {
   }
 }
 
+bool cmm::primTouchesFloat(PrimKind K) { return K >= PrimKind::FAdd; }
+
 Type cmm::primResultType(PrimKind K, Type Arg0) {
   switch (K) {
   case PrimKind::DivU:

@@ -41,7 +41,8 @@ enum class PrimKind : uint8_t {
   Sx64, ///< sign-extend bits32 -> bits64
   Lo32, ///< low half of bits64
   Hi32, ///< high half of bits64
-  // Floating point.
+  // Floating point, then the conversions between integer and float: the
+  // enumeration ends with everything primTouchesFloat covers.
   FAdd,
   FSub,
   FMul,
@@ -72,6 +73,10 @@ Type primResultType(PrimKind K, Type Arg0);
 
 /// True iff the operand types are acceptable.
 bool primOperandsOk(PrimKind K, const Type *ArgTys, unsigned NumArgs);
+
+/// True for the floating-point primitives and the conversions between
+/// bits and float.
+bool primTouchesFloat(PrimKind K);
 
 /// True for primitives whose failure behaviour is unspecified (the divide
 /// family); used by the machine to flag "went wrong: unspecified primitive".

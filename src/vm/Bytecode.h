@@ -53,7 +53,8 @@ enum class Op : uint8_t {
   LoadNameDyn, ///< A ← global Syms[Imm]; wrong "unresolved name" when absent
   Unary,       ///< A ← unop(Imm = UnOp, rv B)
   Binary,      ///< A ← binop(Imm = BinOp, rv B, rv C)
-  Prim,        ///< A ← prim(rv B [, rv C]); Imm = PrimKind | argcount << 16
+  Prim,        ///< A ← prim(rv B [, rv C]);
+               ///< Imm = PrimKind | min(argcount, 3) << 16
   MemLoad,     ///< A ← load mem[rv B]; Imm = (Width << 1) | isFloat
 
   // Deferred compile-time-detectable failures: the walker only reports

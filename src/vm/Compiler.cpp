@@ -15,6 +15,7 @@
 
 #include "vm/Bytecode.h"
 
+#include "sem/Executor.h"
 #include "support/Assert.h"
 #include "support/Casting.h"
 #include "syntax/PrimOps.h"
@@ -154,8 +155,6 @@ private:
     I.Imm = msgIdx(std::move(Msg));
     return R;
   }
-  /// Compile-time constant resolution, mirroring Executor::evalConstExpr.
-  std::optional<Value> resolveConst(const Expr *E) const;
 
   //===-- Nodes ------------------------------------------------------------===//
   void layout();
@@ -271,41 +270,6 @@ void ProcCompiler::assignSlots() {
 }
 
 //===----------------------------------------------------------------------===//
-// Constant resolution
-//===----------------------------------------------------------------------===//
-
-std::optional<Value> ProcCompiler::resolveConst(const Expr *E) const {
-  switch (E->kind()) {
-  case Expr::Kind::StrLit: {
-    auto It = Prog.StrAddrs.find(cast<StrLitExpr>(E));
-    if (It == Prog.StrAddrs.end())
-      return std::nullopt;
-    return Value::bits(TargetInfo::nativePointer().Width, It->second);
-  }
-  case Expr::Kind::Name: {
-    const auto *N = cast<NameExpr>(E);
-    if (N->Ref == RefKind::DataLabel) {
-      auto It = Prog.DataAddrs.find(N->Name);
-      if (It == Prog.DataAddrs.end())
-        return std::nullopt;
-      return Value::bits(TargetInfo::nativePointer().Width, It->second);
-    }
-    if (N->Ref == RefKind::Proc || N->Ref == RefKind::Import) {
-      if (const IrProc *Target = Prog.findProc(N->Name))
-        return Value::code(Target->Index);
-      auto It = Prog.DataAddrs.find(N->Name);
-      if (It != Prog.DataAddrs.end())
-        return Value::bits(TargetInfo::nativePointer().Width, It->second);
-      return std::nullopt;
-    }
-    return std::nullopt;
-  }
-  default:
-    return std::nullopt;
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Expressions
 //===----------------------------------------------------------------------===//
 
@@ -319,7 +283,7 @@ std::optional<uint16_t> ProcCompiler::leafOperand(const Expr *E,
   case Expr::Kind::Sizeof:
     return constOperand(Value::bits(32, cast<SizeofExpr>(E)->SizeInBytes));
   case Expr::Kind::StrLit:
-    if (std::optional<Value> V = resolveConst(E))
+    if (std::optional<Value> V = linkTimeConstant(Prog, E))
       return constOperand(*V);
     return std::nullopt;
   case Expr::Kind::Name: {
@@ -331,7 +295,7 @@ std::optional<uint16_t> ProcCompiler::leafOperand(const Expr *E,
     }
     if (N->Ref == RefKind::Proc || N->Ref == RefKind::DataLabel ||
         N->Ref == RefKind::Import)
-      if (std::optional<Value> V = resolveConst(E))
+      if (std::optional<Value> V = linkTimeConstant(Prog, E))
         return constOperand(*V);
     return std::nullopt;
   }
@@ -387,7 +351,7 @@ uint16_t ProcCompiler::compileExpr(const Expr *E) {
     return R;
   }
   case Expr::Kind::StrLit: {
-    if (std::optional<Value> V = resolveConst(E)) {
+    if (std::optional<Value> V = linkTimeConstant(Prog, E)) {
       uint16_t R = newTemp();
       VmInstr &I = emit(Op::LoadConst, E->loc());
       I.A = R;
@@ -417,7 +381,7 @@ uint16_t ProcCompiler::compileExpr(const Expr *E) {
     case RefKind::Proc:
     case RefKind::DataLabel:
     case RefKind::Import: {
-      if (std::optional<Value> V = resolveConst(E)) {
+      if (std::optional<Value> V = linkTimeConstant(Prog, E)) {
         uint16_t R = newTemp();
         VmInstr &I = emit(Op::LoadConst, E->loc());
         I.A = R;
@@ -515,8 +479,8 @@ uint16_t ProcCompiler::compileExpr(const Expr *E) {
     I.A = R;
     I.B = Regs[0];
     I.C = Regs[1];
-    I.Imm = static_cast<uint32_t>(*K) |
-            (std::min(Count, 2u) << 16);
+    // A count of 3 stands for any count past two: applyPrim rejects it.
+    I.Imm = static_cast<uint32_t>(*K) | (std::min(Count, 3u) << 16);
     if (Count > 0)
       noteRvLoc(1, Regs[0], Pr->Args[0]);
     if (Count > 1)

@@ -3,16 +3,17 @@
 // Part of cmmex (see DESIGN.md).
 //
 // The one dispatch loop of both bytecode backends. Every check, counter
-// increment, observer event, and goes-wrong path mirrors sem/Machine.cpp in
-// the same order at the same point. The loop's own structure is (a)
-// dispatch — each handler jumps straight to the next instruction's handler
-// through a label table indexed by the key stream (the op stream itself on
-// the vm backend, the fused stream on the threaded tier), (b)
-// superinstructions — a fused key runs two adjacent instructions in one
-// handler, performing the second component's node-boundary accounting
-// inline exactly where its own handler would have, and (c) state caching —
-// the pc and the register-file/constant-pool data pointers live in locals
-// for the whole loop. The caching discipline:
+// increment, observer event, and goes-wrong path happens in the same order
+// at the same point as in sem/Machine.cpp, and both apply the operators of
+// sem/Ops.h. The loop's own structure is (a) dispatch — each handler jumps
+// straight to the next instruction's handler through a label table indexed
+// by the key stream (the op stream itself on the vm backend, the fused
+// stream on the threaded tier), (b) superinstructions — a fused key runs
+// two adjacent instructions in one handler, performing the second
+// component's node-boundary accounting inline exactly where its own handler
+// would have, and (c) state caching — the pc and the register-file/
+// constant-pool data pointers live in locals for the whole loop. The
+// caching discipline:
 //
 //  - the member Pc is written back at every exit from the loop (TRET),
 //    so between dispatch calls the member state is exact;
@@ -109,51 +110,6 @@ ThreadedMachine::ThreadedMachine(const IrProgram &Prog,
     NumSlots = Cur->NumSlots;                                                  \
   } while (0)
 
-// The integer fast path of applyBinary. The generic routine is too large
-// for the compiler to inline at the loop's many call sites, so every binary
-// node would pay an out-of-line call — and the call clobbers the cached
-// state pointers around it. This subset covers the operators with no
-// goes-wrong path on bit operands and is forced inline; it computes exactly
-// what applyBinary computes for them (same Value::bits widths, same
-// signExtend comparisons). Floats, division, and modulus decline (return
-// false) and take the out-of-line generic routine, which owns every
-// diagnostic string.
-namespace {
-CMM_VM_INLINE bool binFast(Value &Out, const Value &L, const Value &R,
-                           unsigned OpKind) {
-  if (L.isFloat() || R.isFloat()) [[unlikely]]
-    return false;
-  const unsigned W = L.Width;
-  const uint64_t X = L.Raw, Y = R.Raw;
-  switch (static_cast<BinOp>(OpKind)) {
-  case BinOp::Add: Out = Value::bits(W, X + Y); return true;
-  case BinOp::Sub: Out = Value::bits(W, X - Y); return true;
-  case BinOp::Mul: Out = Value::bits(W, X * Y); return true;
-  case BinOp::And: Out = Value::bits(W, X & Y); return true;
-  case BinOp::Or: Out = Value::bits(W, X | Y); return true;
-  case BinOp::Xor: Out = Value::bits(W, X ^ Y); return true;
-  case BinOp::Shl: Out = Value::bits(W, Y >= W ? 0 : X << Y); return true;
-  case BinOp::Shr: Out = Value::bits(W, Y >= W ? 0 : X >> Y); return true;
-  case BinOp::Eq: Out = Value::bits(32, X == Y); return true;
-  case BinOp::Ne: Out = Value::bits(32, X != Y); return true;
-  case BinOp::LtS:
-    Out = Value::bits(32, signExtend(X, W) < signExtend(Y, W));
-    return true;
-  case BinOp::LeS:
-    Out = Value::bits(32, signExtend(X, W) <= signExtend(Y, W));
-    return true;
-  case BinOp::GtS:
-    Out = Value::bits(32, signExtend(X, W) > signExtend(Y, W));
-    return true;
-  case BinOp::GeS:
-    Out = Value::bits(32, signExtend(X, W) >= signExtend(Y, W));
-    return true;
-  default:
-    return false; // Div/Mod (goes-wrong paths) and anything unknown
-  }
-}
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // Instruction bodies shared by the plain and the superinstruction handlers.
 // A failing check goes wrong and leaves the loop with TRET(). Bodies that
@@ -167,8 +123,11 @@ CMM_VM_INLINE bool binFast(Value &Out, const Value &L, const Value &R,
     if (!Bv)                                                                   \
       TRET();                                                                  \
     Value Out;                                                                 \
-    if (!applyUnary(Out, *Bv, I->Imm))                                         \
+    if (OpStuck Why = applyUnary(Out, *Bv, UnOp(I->Imm));                      \
+        Why != OpStuck::None) {                                                \
+      goWrong(opStuckReason(Why, UnOp(I->Imm), *Bv), I->Loc);                  \
       TRET();                                                                  \
+    }                                                                          \
     StoreValue(*I, Out);                                                       \
     ++Pc;                                                                      \
   }
@@ -182,9 +141,11 @@ CMM_VM_INLINE bool binFast(Value &Out, const Value &L, const Value &R,
     if (!Cv)                                                                   \
       TRET();                                                                  \
     Value Out;                                                                 \
-    if (!binFast(Out, *Bv, *Cv, I->Imm)) [[unlikely]]                          \
-      if (!applyBinary(Out, *Bv, *Cv, I->Imm, I->Loc))                         \
-        TRET();                                                                \
+    if (OpStuck Why = applyBinary(Out, *Bv, *Cv, BinOp(I->Imm));               \
+        Why != OpStuck::None) [[unlikely]] {                                   \
+      goWrong(opStuckReason(Why, BinOp(I->Imm), *Bv, *Cv), I->Loc);            \
+      TRET();                                                                  \
+    }                                                                          \
     StoreValue(*I, Out);                                                       \
     ++Pc;                                                                      \
   }
@@ -285,9 +246,11 @@ CMM_VM_INLINE bool binFast(Value &Out, const Value &L, const Value &R,
     if (!Cv)                                                                   \
       TRET();                                                                  \
     Value Out;                                                                 \
-    if (!binFast(Out, *Bv, *Cv, I->A)) [[unlikely]]                            \
-      if (!applyBinary(Out, *Bv, *Cv, I->A, I->Loc))                           \
-        TRET();                                                                \
+    if (OpStuck Why = applyBinary(Out, *Bv, *Cv, BinOp(I->A));                 \
+        Why != OpStuck::None) [[unlikely]] {                                   \
+      goWrong(opStuckReason(Why, BinOp(I->A), *Bv, *Cv), I->Loc);              \
+      TRET();                                                                  \
+    }                                                                          \
     Pc = Out.isTruthy() ? I->Imm : Pc + 1;                                     \
   }
 
@@ -536,8 +499,11 @@ template <bool Observed> void VmMachine::dispatch(uint64_t &Budget) {
         Args[1] = *P;
       }
       Value Out;
-      if (!applyPrim(Out, I->Imm & 0xffff, Args, Count, I->Loc))
+      const PrimKind K = PrimKind(I->Imm & 0xffff);
+      if (OpStuck Why = applyPrim(Out, K, Args, Count); Why != OpStuck::None) {
+        goWrong(opStuckReason(Why, K, Args), I->Loc);
         TRET();
+      }
       StoreValue(*I, Out);
       ++Pc;
     }

@@ -3,11 +3,11 @@
 // Part of cmmex (see DESIGN.md).
 //
 // Everything of the bytecode machine except the dispatch loop (which is in
-// vm/Threaded.cpp): start, frames, the expression slow paths, cuts, and the
-// Table 1 run-time substrate. Every transition, goes-wrong rule, counter
-// increment, and observer event mirrors sem/Machine.cpp exactly — that file
-// is the reference; when the two disagree, the walker is right and the
-// differential harness will say so.
+// vm/Threaded.cpp): start, frames, cuts, and the Table 1 run-time
+// substrate. Every transition, goes-wrong rule, counter increment, and
+// observer event follows sem/Machine.cpp — that file is the reference; when
+// the two disagree, the walker is right and the differential harness will
+// say so. Operators are not here at all: both apply sem/Ops.h.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +15,6 @@
 
 #include "sem/Observer.h"
 #include "support/Assert.h"
-#include "syntax/PrimOps.h"
 
 #include <algorithm>
 
@@ -65,12 +64,6 @@ const Value *VmMachine::rvUnbound(uint16_t Slot, const VmInstr &I,
   // consuming expression.
   wrongUnbound(Slot, Cur->rvSlotLoc(Pc, Field, I.Loc));
   return nullptr;
-}
-
-Value VmMachine::codeValue(const IrProc *P) const {
-  assert(P->Index < Prog.Procs.size() && Prog.Procs[P->Index].get() == P &&
-         "procedure not in this program");
-  return Value::code(P->Index);
 }
 
 const IrProc *VmMachine::decodeCode(const Value &V) const {
@@ -220,207 +213,6 @@ void VmMachine::enterProcAt(uint32_t ProcIdx, const IrProc *P,
 // pushFrame and restoreFrame live in Vm.h: the dispatch loop executes them
 // on every call and return, and inlining spares the spill of the loop's
 // cached state around an out-of-line call.
-
-//===----------------------------------------------------------------------===//
-// Expression slow paths (exact copies of the walker's evaluator)
-//===----------------------------------------------------------------------===//
-
-// applyUnary and applyBinary live in Vm.h: they are the hottest slow paths
-// of the dispatch loop, which lives in Threaded.cpp and needs them inlined.
-
-bool VmMachine::applyPrim(Value &Out, unsigned PrimOp, const Value *Args,
-                          unsigned Count, SourceLoc Loc) {
-  PrimKind K = static_cast<PrimKind>(PrimOp);
-  auto WrongZero = [&]() {
-    goWrong(std::string("unspecified: ") + primName(K) +
-                " with zero divisor (use the %% variant)",
-            Loc);
-    return false;
-  };
-  auto NeedBits = [&](unsigned N, unsigned Width) {
-    for (unsigned I = 0; I < N; ++I) {
-      if (!Args[I].isBits()) {
-        goWrong(std::string(primName(K)) +
-                    " applied to a floating-point operand",
-                Loc);
-        return false;
-      }
-      if (Width != 0 && Args[I].Width != Width) {
-        goWrong(std::string(primName(K)) + " applied to a bits" +
-                    std::to_string(Args[I].Width) + " operand",
-                Loc);
-        return false;
-      }
-    }
-    return true;
-  };
-  auto NeedFloats = [&](unsigned N) {
-    for (unsigned I = 0; I < N; ++I)
-      if (!Args[I].isFloat()) {
-        goWrong(std::string(primName(K)) + " applied to a bit operand", Loc);
-        return false;
-      }
-    return true;
-  };
-  (void)Count;
-  unsigned W = Count == 0 ? 32 : Args[0].Width;
-  switch (K) {
-  case PrimKind::DivU:
-    if (!NeedBits(2, W))
-      return false;
-    if (Args[1].Raw == 0)
-      return WrongZero();
-    Out = Value::bits(W, Args[0].Raw / Args[1].Raw);
-    return true;
-  case PrimKind::ModU:
-    if (!NeedBits(2, W))
-      return false;
-    if (Args[1].Raw == 0)
-      return WrongZero();
-    Out = Value::bits(W, Args[0].Raw % Args[1].Raw);
-    return true;
-  case PrimKind::DivS: {
-    if (!NeedBits(2, W))
-      return false;
-    int64_t X = signExtend(Args[0].Raw, W), Y = signExtend(Args[1].Raw, W);
-    if (Y == 0)
-      return WrongZero();
-    if (X == signExtend(signedMin(W), W) && Y == -1) {
-      goWrong("unspecified: %divs overflow", Loc);
-      return false;
-    }
-    Out = Value::bits(W, static_cast<uint64_t>(X / Y));
-    return true;
-  }
-  case PrimKind::ModS: {
-    if (!NeedBits(2, W))
-      return false;
-    int64_t X = signExtend(Args[0].Raw, W), Y = signExtend(Args[1].Raw, W);
-    if (Y == 0)
-      return WrongZero();
-    if (X == signExtend(signedMin(W), W) && Y == -1) {
-      Out = Value::bits(W, 0);
-      return true;
-    }
-    Out = Value::bits(W, static_cast<uint64_t>(X % Y));
-    return true;
-  }
-  case PrimKind::LtU:
-    if (!NeedBits(2, W))
-      return false;
-    Out = Value::bits(32, Args[0].Raw < Args[1].Raw);
-    return true;
-  case PrimKind::LeU:
-    if (!NeedBits(2, W))
-      return false;
-    Out = Value::bits(32, Args[0].Raw <= Args[1].Raw);
-    return true;
-  case PrimKind::GtU:
-    if (!NeedBits(2, W))
-      return false;
-    Out = Value::bits(32, Args[0].Raw > Args[1].Raw);
-    return true;
-  case PrimKind::GeU:
-    if (!NeedBits(2, W))
-      return false;
-    Out = Value::bits(32, Args[0].Raw >= Args[1].Raw);
-    return true;
-  case PrimKind::ShrA: {
-    if (!NeedBits(2, W))
-      return false;
-    int64_t X = signExtend(Args[0].Raw, W);
-    uint64_t C = Args[1].Raw;
-    if (C >= W) {
-      Out = Value::bits(W, X < 0 ? ~uint64_t(0) : 0);
-      return true;
-    }
-    Out = Value::bits(W, static_cast<uint64_t>(X >> C));
-    return true;
-  }
-  case PrimKind::Zx64:
-    if (!NeedBits(1, 32))
-      return false;
-    Out = Value::bits(64, Args[0].Raw);
-    return true;
-  case PrimKind::Sx64:
-    if (!NeedBits(1, 32))
-      return false;
-    Out = Value::bits(64, static_cast<uint64_t>(signExtend(Args[0].Raw, 32)));
-    return true;
-  case PrimKind::Lo32:
-    if (!NeedBits(1, 64))
-      return false;
-    Out = Value::bits(32, Args[0].Raw);
-    return true;
-  case PrimKind::Hi32:
-    if (!NeedBits(1, 64))
-      return false;
-    Out = Value::bits(32, Args[0].Raw >> 32);
-    return true;
-  case PrimKind::FAdd:
-    if (!NeedFloats(2))
-      return false;
-    Out = Value::flt(Args[0].Width, Args[0].F + Args[1].F);
-    return true;
-  case PrimKind::FSub:
-    if (!NeedFloats(2))
-      return false;
-    Out = Value::flt(Args[0].Width, Args[0].F - Args[1].F);
-    return true;
-  case PrimKind::FMul:
-    if (!NeedFloats(2))
-      return false;
-    Out = Value::flt(Args[0].Width, Args[0].F * Args[1].F);
-    return true;
-  case PrimKind::FDiv:
-    if (!NeedFloats(2))
-      return false;
-    Out = Value::flt(Args[0].Width, Args[0].F / Args[1].F);
-    return true;
-  case PrimKind::FNeg:
-    if (!NeedFloats(1))
-      return false;
-    Out = Value::flt(Args[0].Width, -Args[0].F);
-    return true;
-  case PrimKind::FEq:
-    if (!NeedFloats(2))
-      return false;
-    Out = Value::bits(32, Args[0].F == Args[1].F);
-    return true;
-  case PrimKind::FNe:
-    if (!NeedFloats(2))
-      return false;
-    Out = Value::bits(32, Args[0].F != Args[1].F);
-    return true;
-  case PrimKind::FLt:
-    if (!NeedFloats(2))
-      return false;
-    Out = Value::bits(32, Args[0].F < Args[1].F);
-    return true;
-  case PrimKind::FLe:
-    if (!NeedFloats(2))
-      return false;
-    Out = Value::bits(32, Args[0].F <= Args[1].F);
-    return true;
-  case PrimKind::I2F:
-    if (!NeedBits(1, 32))
-      return false;
-    Out = Value::flt(64, static_cast<double>(signExtend(Args[0].Raw, 32)));
-    return true;
-  case PrimKind::F2I: {
-    if (!NeedFloats(1))
-      return false;
-    double D = Args[0].F;
-    if (!(D >= -2147483648.0 && D < 2147483648.0)) {
-      goWrong("unspecified: %f2i out of range", Loc);
-      return false;
-    }
-    Out = Value::bits(32, static_cast<uint64_t>(static_cast<int64_t>(D)));
-    return true;
-  }
-  }
-  cmm_unreachable("unknown primitive kind");
-}
 
 //===----------------------------------------------------------------------===//
 // Cuts

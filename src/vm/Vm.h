@@ -22,8 +22,7 @@
 
 #include "sem/Env.h"
 #include "sem/Executor.h"
-#include "support/Assert.h"
-#include "support/Bits.h"
+#include "sem/Ops.h"
 #include "vm/Fuse.h"
 
 namespace cmm {
@@ -81,7 +80,6 @@ public:
   std::optional<Value> getGlobal(std::string_view Name) const override;
   void setGlobal(std::string_view Name, const Value &V) override;
 
-  Value codeValue(const IrProc *P) const override;
   const ContRecord *decodeCont(const Value &V) const override;
 
   size_t stackDepth() const override { return Stack.size(); }
@@ -115,12 +113,6 @@ protected:
   VmMachine(const IrProgram &Prog,
             std::shared_ptr<const ThreadedProgram> Shared);
 
-#if defined(__GNUC__) || defined(__clang__)
-#define CMM_VM_INLINE __attribute__((always_inline)) inline
-#else
-#define CMM_VM_INLINE inline
-#endif
-
   void goWrong(std::string Reason, SourceLoc Loc);
   void wrongUnbound(uint16_t Slot, SourceLoc Loc);
   /// Failure path of a fused-operand read; kept out of line so its
@@ -145,16 +137,6 @@ protected:
   uint32_t pcOf(const CompiledProc &C, const Node *N) const {
     return C.PcOfNode[N->Id];
   }
-
-  // Slow paths of the dispatch loop (exact walker semantics).
-  // applyUnary/applyBinary are defined inline below: the loop lives in a
-  // separate translation unit and must be able to inline them — they
-  // dominate expression-heavy workloads.
-  bool applyUnary(Value &Out, const Value &V, unsigned OpKind);
-  bool applyBinary(Value &Out, const Value &L, const Value &R,
-                   unsigned OpKind, SourceLoc Loc);
-  bool applyPrim(Value &Out, unsigned PrimOp, const Value *Args,
-                 unsigned Count, SourceLoc Loc);
 
   const IrProgram &Prog;
   /// Owns the bytecode (solely, or jointly with an artifact cache and
@@ -246,97 +228,6 @@ inline void VmMachine::restoreFrame(VmFrame &F) {
   CurProc = F.Proc;
   Cur = F.Compiled;
   CurIdx = F.CompiledIdx;
-}
-
-inline bool VmMachine::applyUnary(Value &Out, const Value &V,
-                                  unsigned OpKind) {
-  switch (static_cast<UnOp>(OpKind)) {
-  case UnOp::Neg:
-    Out = V.isFloat() ? Value::flt(V.Width, -V.F)
-                      : Value::bits(V.Width, 0 - V.Raw);
-    return true;
-  case UnOp::Com:
-    Out = Value::bits(V.Width, ~V.Raw);
-    return true;
-  case UnOp::Not:
-    Out = Value::bits(32, V.Raw == 0 ? 1 : 0);
-    return true;
-  }
-  cmm_unreachable("unknown unary operator");
-}
-
-inline bool VmMachine::applyBinary(Value &Out, const Value &L, const Value &R,
-                                   unsigned OpKind, SourceLoc Loc) {
-  BinOp Op = static_cast<BinOp>(OpKind);
-  if (L.isFloat() || R.isFloat()) [[unlikely]] {
-    if (!(L.isFloat() && R.isFloat())) {
-      goWrong("mixed floating-point and bit operands", Loc);
-      return false;
-    }
-    double X = L.F, Y = R.F;
-    switch (Op) {
-    case BinOp::Add: Out = Value::flt(L.Width, X + Y); return true;
-    case BinOp::Sub: Out = Value::flt(L.Width, X - Y); return true;
-    case BinOp::Mul: Out = Value::flt(L.Width, X * Y); return true;
-    case BinOp::Div: Out = Value::flt(L.Width, X / Y); return true;
-    case BinOp::Eq: Out = Value::bits(32, X == Y); return true;
-    case BinOp::Ne: Out = Value::bits(32, X != Y); return true;
-    case BinOp::LtS: Out = Value::bits(32, X < Y); return true;
-    case BinOp::LeS: Out = Value::bits(32, X <= Y); return true;
-    case BinOp::GtS: Out = Value::bits(32, X > Y); return true;
-    case BinOp::GeS: Out = Value::bits(32, X >= Y); return true;
-    default:
-      goWrong("bit operation on floating-point operands", Loc);
-      return false;
-    }
-  }
-
-  unsigned W = L.Width;
-  uint64_t X = L.Raw, Y = R.Raw;
-  int64_t SX = signExtend(X, W), SY = signExtend(Y, W);
-  switch (Op) {
-  case BinOp::Add: Out = Value::bits(W, X + Y); return true;
-  case BinOp::Sub: Out = Value::bits(W, X - Y); return true;
-  case BinOp::Mul: Out = Value::bits(W, X * Y); return true;
-  case BinOp::Div:
-    if (SY == 0) {
-      goWrong("unspecified: signed division by zero (use %%divs for the "
-              "checked variant)",
-              Loc);
-      return false;
-    }
-    if (SX == signExtend(signedMin(W), W) && SY == -1) {
-      goWrong("unspecified: signed division overflow", Loc);
-      return false;
-    }
-    Out = Value::bits(W, static_cast<uint64_t>(SX / SY));
-    return true;
-  case BinOp::Mod:
-    if (SY == 0) {
-      goWrong("unspecified: signed modulus by zero (use %%mods for the "
-              "checked variant)",
-              Loc);
-      return false;
-    }
-    if (SX == signExtend(signedMin(W), W) && SY == -1) {
-      Out = Value::bits(W, 0);
-      return true;
-    }
-    Out = Value::bits(W, static_cast<uint64_t>(SX % SY));
-    return true;
-  case BinOp::And: Out = Value::bits(W, X & Y); return true;
-  case BinOp::Or: Out = Value::bits(W, X | Y); return true;
-  case BinOp::Xor: Out = Value::bits(W, X ^ Y); return true;
-  case BinOp::Shl: Out = Value::bits(W, Y >= W ? 0 : X << Y); return true;
-  case BinOp::Shr: Out = Value::bits(W, Y >= W ? 0 : X >> Y); return true;
-  case BinOp::Eq: Out = Value::bits(32, X == Y); return true;
-  case BinOp::Ne: Out = Value::bits(32, X != Y); return true;
-  case BinOp::LtS: Out = Value::bits(32, SX < SY); return true;
-  case BinOp::LeS: Out = Value::bits(32, SX <= SY); return true;
-  case BinOp::GtS: Out = Value::bits(32, SX > SY); return true;
-  case BinOp::GeS: Out = Value::bits(32, SX >= SY); return true;
-  }
-  cmm_unreachable("unknown binary operator");
 }
 
 } // namespace cmm

@@ -12,6 +12,7 @@
 #include "TestUtil.h"
 
 #include "engine/Engine.h"
+#include "ir/IlText.h"
 #include "rts/RuntimeInterface.h"
 #include "vm/Threaded.h"
 #include "vm/Vm.h"
@@ -25,11 +26,9 @@ namespace {
 /// in the reason — and the reasons byte-identical across backends (the
 /// goes-wrong rules are part of the observable semantics the VM and the
 /// threaded tier preserve).
-void expectWrong(const char *Src, std::vector<Value> Args,
-                 const char *ReasonFragment) {
-  auto Prog = compile({Src});
-  ASSERT_TRUE(Prog);
-  auto M = engine::makeExecutor(engine::Backend::Walk, *Prog);
+void expectWrongOn(const IrProgram &Prog, std::vector<Value> Args,
+                   const char *ReasonFragment) {
+  auto M = engine::makeExecutor(engine::Backend::Walk, Prog);
   M->start("main", Args);
   EXPECT_EQ(M->run(), MachineStatus::Wrong);
   EXPECT_NE(M->wrongReason().find(ReasonFragment), std::string::npos)
@@ -37,12 +36,19 @@ void expectWrong(const char *Src, std::vector<Value> Args,
   for (engine::Backend B : {engine::Backend::Vm, engine::Backend::Threaded}) {
     SCOPED_TRACE(std::string("backend ") +
                  std::string(engine::backendName(B)));
-    auto V = engine::makeExecutor(B, *Prog);
+    auto V = engine::makeExecutor(B, Prog);
     V->start("main", Args);
     EXPECT_EQ(V->run(), MachineStatus::Wrong);
     EXPECT_EQ(V->wrongReason(), M->wrongReason());
     EXPECT_EQ(V->wrongLoc().str(), M->wrongLoc().str());
   }
+}
+
+void expectWrong(const char *Src, std::vector<Value> Args,
+                 const char *ReasonFragment) {
+  auto Prog = compile({Src});
+  ASSERT_TRUE(Prog);
+  expectWrongOn(*Prog, std::move(Args), ReasonFragment);
 }
 
 //===----------------------------------------------------------------------===//
@@ -642,6 +648,90 @@ main() {
 }
 )";
   expectWrong(Src, {}, "mixed floating-point and bit operands");
+}
+
+// The operand rule of sem/Ops.h (docs/LANGUAGE.md): a binary operator or a
+// two-operand primitive whose operands differ in width goes wrong, naming
+// both widths, and so does a bit operation on a float.
+
+/// g computes \p Expr over its bits32 parameter x, which main fills with a
+/// bits16 65535 through an indirect call.
+std::string launderedBits16(const char *Expr) {
+  return std::string("export main;\ng(bits32 x) {\n  bits32 r;\n  r = ") +
+         Expr +
+         ";\n  return (r);\n}\nmain() {\n  bits32 t, r;\n  bits16 h;\n"
+         "  h = 65535;\n  t = g;\n  r = t(h);\n  return (r);\n}\n";
+}
+
+TEST(GoesWrong, BinaryOperandsOfDifferentWidths) {
+  expectWrong(launderedBits16("x + 1").c_str(), {},
+              "'+' applied to operands of different widths (bits16 and "
+              "bits32)");
+  expectWrong(launderedBits16("1 + x").c_str(), {},
+              "'+' applied to operands of different widths (bits32 and "
+              "bits16)");
+  expectWrong(launderedBits16("x == 65535").c_str(), {},
+              "'==' applied to operands of different widths (bits16 and "
+              "bits32)");
+}
+
+TEST(GoesWrong, PrimOperandsOfDifferentWidths) {
+  expectWrong(launderedBits16("%divu(x, 1)").c_str(), {},
+              "%divu applied to operands of different widths (bits16 and "
+              "bits32)");
+}
+
+TEST(GoesWrong, BitOperationOnLaunderedFloat) {
+  for (const char *Op : {"!", "~"}) {
+    SCOPED_TRACE(Op);
+    std::string Src = std::string("export main;\ng(bits32 v) {\n  bits32 r;\n"
+                                  "  r = ") +
+                      Op +
+                      "v;\n  return (r);\n}\nmain() {\n  bits32 t, r;\n"
+                      "  t = g;\n  r = t(1.5);\n  return (r);\n}\n";
+    expectWrong(Src.c_str(), {}, "bit operation on floating-point operands");
+  }
+}
+
+// Sema checks a primitive's operand count, but IL text and deserialized
+// artifacts come from outside the program: a miscounted primitive must go
+// wrong by name on every backend, not read past its operands.
+TEST(GoesWrong, PrimWithWrongOperandCountFromIlText) {
+  // main() { bits32 r; r = PRIM; return (r); }, with PRIM applied to some
+  // of the literals 7, 3 and 1.
+  const std::string Il = R"(cmmex-il v2
+image 268435456 -
+dataend 268435456
+proc main
+  var r bits32
+  expr 0 int 7 :bits32 @2.11
+  expr 1 int 3 :bits32 @2.14
+  expr 2 int 1 :bits32 @2.17
+  expr 3 PRIM :bits32 @2.7
+  expr 4 name r local :bits32 @3.11
+  node 0 entry 0 ^1 @1.1
+  node 1 copyin 0 ^2 @1.1
+  node 2 assign r 0 #3 ^3 @2.3
+  node 3 copyout 1 #4 ^4 @3.3
+  node 4 exit 0 0 @3.3
+  entry ^0
+endproc
+)";
+  const std::pair<const char *, const char *> Cases[] = {
+      {"prim %divu 1 #0", "%divu applied to the wrong number of operands"},
+      {"prim %divu 3 #0 #1 #2",
+       "%divu applied to the wrong number of operands"},
+      {"prim %zx64 2 #0 #1", "%zx64 applied to the wrong number of operands"},
+  };
+  for (const auto &[Prim, Reason] : Cases) {
+    SCOPED_TRACE(Prim);
+    std::string Text = Il;
+    Text.replace(Text.find("PRIM"), 4, Prim);
+    std::string Err;
+    auto Prog = parseIl(Text, &Err);
+    ASSERT_TRUE(Prog) << Err;
+    expectWrongOn(*Prog, {}, Reason);
+  }
 }
 
 } // namespace

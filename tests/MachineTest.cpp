@@ -9,6 +9,8 @@
 
 #include "TestUtil.h"
 
+#include "engine/Engine.h"
+
 using namespace cmm;
 using namespace cmm::test;
 
@@ -129,11 +131,15 @@ TEST_P(ArithTest, Evaluates) {
                     C.Expr + ");\n}\n";
   auto Prog = compile({Src});
   ASSERT_TRUE(Prog);
-  Machine M(*Prog);
-  std::vector<Value> R = runToHalt(M, "main", {b32(C.A), b32(C.B)});
-  ASSERT_EQ(R.size(), 1u);
-  EXPECT_EQ(R[0].Raw, C.Expected) << C.Expr << "(" << C.A << "," << C.B
-                                  << ")";
+  // Every backend applies the operators of sem/Ops.h; each is pinned here.
+  for (engine::Backend B : engine::AllBackends) {
+    SCOPED_TRACE(engine::backendName(B));
+    auto M = engine::makeExecutor(B, *Prog);
+    std::vector<Value> R = runToHalt(*M, "main", {b32(C.A), b32(C.B)});
+    ASSERT_EQ(R.size(), 1u);
+    EXPECT_EQ(R[0].Raw, C.Expected) << C.Expr << "(" << C.A << "," << C.B
+                                    << ")";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -167,6 +173,28 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ArithCase> &I) {
       return "op" + std::to_string(I.index);
     });
+
+TEST(Eval, PrimitivesTakeCodeValuesAsBits) {
+  // A procedure's address is a bits32 like any other to the operators
+  // (docs/LANGUAGE.md): an unsigned comparison of code pointers computes.
+  const char *Src = R"(
+export main;
+f() { return (1); }
+main() {
+  bits32 p;
+  p = f;
+  return (%ltu(p, 5), %geu(p, p), p == f);
+}
+)";
+  auto Prog = compile({Src});
+  ASSERT_TRUE(Prog);
+  for (engine::Backend B : engine::AllBackends) {
+    SCOPED_TRACE(engine::backendName(B));
+    auto M = engine::makeExecutor(B, *Prog);
+    EXPECT_EQ(runToHalt(*M, "main"),
+              (std::vector<Value>{b32(0), b32(1), b32(1)}));
+  }
+}
 
 TEST(Eval, WidthConversions) {
   const char *Src = R"(

@@ -503,6 +503,19 @@ TEST(ConstProp, FoldRefusesUnsoundOperandShapes) {
 
   // Evaluation that could fail is never folded away.
   EXPECT_EQ(Fold(Prim2("%divu", Int(5), Int(0))), std::nullopt);
+
+  // Folding applies sem/Ops.h, so it computes exactly what the machine
+  // computes: the most negative bits32 % -1 is 0, the same / goes wrong,
+  // and a binary operator over mixed widths goes wrong too.
+  auto Bin = [&](BinOp Op, Expr *A, Expr *B) -> Expr * {
+    return Arena.make<BinaryExpr>(L, Op, A, B);
+  };
+  EXPECT_EQ(Fold(Bin(BinOp::Mod, Int(0x80000000), Int(0xffffffff))),
+            Value::bits(32, 0));
+  EXPECT_EQ(Fold(Bin(BinOp::Div, Int(0x80000000), Int(0xffffffff))),
+            std::nullopt);
+  EXPECT_EQ(Fold(Bin(BinOp::Add, Prim1("%zx64", Int(1)), Int(1))),
+            std::nullopt);
 }
 
 } // namespace

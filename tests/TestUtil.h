@@ -51,7 +51,7 @@ inline std::string compileError(const std::string &Source) {
 
 /// Runs \p Proc to completion and returns the result values; fails the test
 /// if the machine does not halt normally.
-inline std::vector<Value> runToHalt(Machine &M, std::string_view Proc,
+inline std::vector<Value> runToHalt(Executor &M, std::string_view Proc,
                                     std::vector<Value> Args = {},
                                     uint64_t MaxSteps = 10'000'000) {
   M.start(Proc, std::move(Args));
