@@ -163,8 +163,10 @@ DiffOutcome runCell(const std::shared_ptr<const engine::ProgramArtifact> &Art,
     O.MachineStats = R.MachineStats;
     if (R.Status == MachineStatus::Halted)
       O.Results = std::move(R.Results);
-    else if (R.Status == MachineStatus::Wrong)
+    else if (R.Status == MachineStatus::Wrong) {
       O.WrongReason = std::move(R.WrongReason);
+      O.WrongLoc = R.WrongLoc;
+    }
     return O;
   }
   std::unique_ptr<Executor> Exec = Art->newExecutor(B);
@@ -176,8 +178,10 @@ DiffOutcome runCell(const std::shared_ptr<const engine::ProgramArtifact> &Art,
   O.MachineStats = M.stats();
   if (St == MachineStatus::Halted)
     O.Results = M.argArea();
-  else if (St == MachineStatus::Wrong)
+  else if (St == MachineStatus::Wrong) {
     O.WrongReason = M.wrongReason();
+    O.WrongLoc = M.wrongLoc();
+  }
   return O;
 }
 
@@ -202,6 +206,7 @@ runScheduledCell(const std::shared_ptr<const engine::ProgramArtifact> &Art,
   O.Status = R.Status;
   O.Results = std::move(R.Results);
   O.WrongReason = std::move(R.WrongReason);
+  O.WrongLoc = R.WrongLoc;
   O.MachineStats = R.MachineStats;
   return O;
 }
@@ -214,6 +219,12 @@ std::string compareBackends(const DiffOutcome &Walk, const DiffOutcome &Vm) {
     return "walk " + Walk.str() + " vs vm " + Vm.str();
   if (!Walk.comparable(Vm))
     return "walk " + Walk.str() + " vs vm " + Vm.str();
+  // Both sides ran the same artifact, so a goes-wrong state must also be
+  // reported at the same source location (comparable() checks the reason
+  // only: the cross-strategy and scheduled renderings are other sources).
+  if (Walk.Status == MachineStatus::Wrong && !(Walk.WrongLoc == Vm.WrongLoc))
+    return "wrong at walk " + Walk.WrongLoc.str() + " vs vm " +
+           Vm.WrongLoc.str() + ": " + Walk.WrongReason;
   const Stats &A = Walk.MachineStats, &B = Vm.MachineStats;
   auto Eq = [](uint64_t X, uint64_t Y, const char *Name) -> std::string {
     if (X == Y)

@@ -72,7 +72,8 @@ std::vector<DiffOptConfig> diffOptConfigs();
 struct DiffOutcome {
   MachineStatus Status = MachineStatus::Idle;
   std::vector<Value> Results; ///< the argument area after Halted
-  std::string WrongReason;    ///< after Wrong (no source location)
+  std::string WrongReason;    ///< after Wrong
+  SourceLoc WrongLoc;         ///< after Wrong; compared across backends only
   Stats MachineStats;
 
   bool comparable(const DiffOutcome &O) const;

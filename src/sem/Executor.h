@@ -5,20 +5,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The backend-neutral interface to an Abstract C-- executor. Two executors
-/// implement it:
+/// The backend-neutral interface to an Abstract C-- executor. Three
+/// backends implement it:
 ///
-///   - sem/Machine.h: the reference tree walker, a direct transcription of
-///     the Section 5.2 operational semantics;
-///   - vm/Vm.h: a bytecode VM that compiles the checked IR to a compact
-///     register bytecode and runs it in a dispatch loop (docs/BYTECODE.md).
+///   - "walk" (sem/Machine.h): the reference tree walker, a direct
+///     transcription of the Section 5.2 operational semantics;
+///   - "vm" (vm/Vm.h): a bytecode VM that compiles the checked IR to a
+///     compact register bytecode and runs it in a dispatch loop
+///     (docs/BYTECODE.md);
+///   - "threaded" (vm/Threaded.h): the same VM over the fused
+///     superinstruction key stream.
 ///
-/// Both preserve the same observable semantics: the seven-component state,
-/// every goes-wrong rule (identical reasons and source locations), the
-/// Suspended status at Yield nodes, and the Table 1 run-time substrate
+/// Each backend still owns its own copy of the shared state (program,
+/// status, argument area, memory, globals, continuation table, stats,
+/// observer); moving it into Executor is open work (ROADMAP).
+///
+/// All three preserve the same observable semantics: the seven-component
+/// state, every goes-wrong rule (identical reasons and source locations),
+/// the Suspended status at Yield nodes, and the Table 1 run-time substrate
 /// (rtUnwindTop / rtResume / resumeParamCount), so the run-time systems in
-/// src/rts drive either backend unchanged. The differential harness
-/// (costmodel/DiffHarness.h) cross-checks the two on every seed.
+/// src/rts drive any backend unchanged. The differential harness
+/// (costmodel/DiffHarness.h) cross-checks them on every seed.
 ///
 /// The hot loops stay non-virtual: each backend's run() is a concrete
 /// member; only the (cold) run-time-system substrate and introspection go
@@ -173,10 +180,9 @@ public:
                         std::vector<Value> Params) = 0;
 
   /// Number of parameters the chosen continuation expects; nullopt when the
-  /// choice is invalid. Used by FindContParam. Both backends share the
-  /// default implementation in Executor.cpp.
-  virtual std::optional<unsigned>
-  resumeParamCount(const ResumeChoice &Choice) const;
+  /// choice is invalid. Used by FindContParam and by every backend's
+  /// rtResume.
+  std::optional<unsigned> resumeParamCount(const ResumeChoice &Choice) const;
 };
 
 } // namespace cmm

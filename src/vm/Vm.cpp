@@ -66,17 +66,6 @@ const Value *VmMachine::rvUnbound(uint16_t Slot, const VmInstr &I,
   return nullptr;
 }
 
-const IrProc *VmMachine::decodeCode(const Value &V) const {
-  if (!(V.isCode() || V.isBits()) || !Value::rawIsCode(V.Raw))
-    return nullptr;
-  if ((V.Raw - CodeBase) % CodeStride != 0)
-    return nullptr;
-  uint64_t Idx = V.codeIndex();
-  if (Idx >= Prog.Procs.size())
-    return nullptr;
-  return Prog.Procs[Idx].get();
-}
-
 // decodeCodeIdx and newCont live in Vm.h: the dispatch loop hits them on
 // every transfer (resp. every Entry node), and both are a handful of
 // instructions once inlined.

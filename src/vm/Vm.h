@@ -126,10 +126,9 @@ protected:
   CMM_VM_INLINE void pushFrame(const CallNode *Site);
   CMM_VM_INLINE void restoreFrame(VmFrame &F);
   bool doCutTo(const Value &ContVal, const CutToNode *FromNode);
-  const IrProc *decodeCode(const Value &V) const;
-  /// decodeCode, but yielding the dense procedure index (-1 when \p V is
-  /// not a valid code value). CP.Procs shares IrProgram::Procs order, so
-  /// one index addresses both.
+  /// The dense procedure index \p V denotes as a code value (-1 when it is
+  /// not one). CP.Procs shares IrProgram::Procs order, so one index
+  /// addresses both.
   int64_t decodeCodeIdx(const Value &V) const;
   /// enterProc for a target already resolved to its dense index.
   void enterProcAt(uint32_t ProcIdx, const IrProc *P, SourceLoc Loc);
