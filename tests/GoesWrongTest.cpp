@@ -25,9 +25,10 @@ namespace {
 /// Runs main(args) on every backend and expects Wrong with \p ReasonFragment
 /// in the reason — and the reasons byte-identical across backends (the
 /// goes-wrong rules are part of the observable semantics the VM and the
-/// threaded tier preserve).
-void expectWrongOn(const IrProgram &Prog, std::vector<Value> Args,
-                   const char *ReasonFragment) {
+/// threaded tier preserve). Returns the walker's full reason, for tests that
+/// must tell apart rules sharing a fragment.
+std::string expectWrongOn(const IrProgram &Prog, std::vector<Value> Args,
+                          const char *ReasonFragment) {
   auto M = engine::makeExecutor(engine::Backend::Walk, Prog);
   M->start("main", Args);
   EXPECT_EQ(M->run(), MachineStatus::Wrong);
@@ -42,13 +43,15 @@ void expectWrongOn(const IrProgram &Prog, std::vector<Value> Args,
     EXPECT_EQ(V->wrongReason(), M->wrongReason());
     EXPECT_EQ(V->wrongLoc().str(), M->wrongLoc().str());
   }
+  return M->wrongReason();
 }
 
-void expectWrong(const char *Src, std::vector<Value> Args,
-                 const char *ReasonFragment) {
+std::string expectWrong(const char *Src, std::vector<Value> Args,
+                        const char *ReasonFragment) {
   auto Prog = compile({Src});
-  ASSERT_TRUE(Prog);
-  expectWrongOn(*Prog, std::move(Args), ReasonFragment);
+  if (!Prog)
+    return "<compilation failed>";
+  return expectWrongOn(*Prog, std::move(Args), ReasonFragment);
 }
 
 //===----------------------------------------------------------------------===//
@@ -136,7 +139,9 @@ continuation k(t, a):
   return (t + a);
 }
 )";
-  expectWrong(Src, {}, "also aborts");
+  EXPECT_EQ(expectWrong(Src, {}, "also aborts"),
+            "cut truncates the stack past a call site that lacks an also "
+            "aborts annotation");
 }
 
 TEST(GoesWrong, CutToContinuationNotInCallSiteAnnotation) {
@@ -156,7 +161,9 @@ continuation k(t, a):
   return (t + a);
 }
 )";
-  expectWrong(Src, {}, "also cuts to");
+  EXPECT_EQ(expectWrong(Src, {}, "also cuts to"),
+            "cut to a continuation that is not listed in the suspended call "
+            "site's also cuts to");
 }
 
 TEST(GoesWrong, SameActivationCutWithoutAnnotation) {
@@ -172,7 +179,9 @@ continuation k(t):
   return (t);
 }
 )";
-  expectWrong(Src, {}, "also cuts to");
+  EXPECT_EQ(expectWrong(Src, {}, "also cuts to"),
+            "cut to a continuation of the current activation that is not "
+            "named in this statement's also cuts to");
 }
 
 TEST(SameActivationCut, WorksWithAnnotation) {
@@ -252,7 +261,8 @@ main() {
   return (r);
 }
 )";
-  expectWrong(Src, {}, "not code");
+  EXPECT_EQ(expectWrong(Src, {}, "not code"),
+            "call target is not code (bits32 12345)");
 }
 
 TEST(GoesWrong, JumpTargetIsNotCode) {
@@ -264,7 +274,8 @@ main() {
   jump f();
 }
 )";
-  expectWrong(Src, {}, "not code");
+  EXPECT_EQ(expectWrong(Src, {}, "not code"),
+            "jump target is not code (bits32 12345)");
 }
 
 TEST(GoesWrong, CutToNonContinuationValue) {
@@ -418,7 +429,8 @@ main() {
   EXPECT_TRUE(M.rtUnwindTop(1));
   EXPECT_FALSE(M.rtUnwindTop(1));
   EXPECT_EQ(M.status(), MachineStatus::Wrong);
-  EXPECT_NE(M.wrongReason().find("also aborts"), std::string::npos);
+  EXPECT_EQ(M.wrongReason(), "run-time system unwound past a call site that "
+                             "lacks an also aborts annotation");
 }
 
 TYPED_TEST(RtMisuseTest, RuntimeUnwindPastBottomOfStack) {
@@ -567,6 +579,134 @@ main() {
   EXPECT_EQ(M.status(), MachineStatus::Wrong);
   EXPECT_NE(M.wrongReason().find("dead continuation"), std::string::npos)
       << "actual reason: " << M.wrongReason();
+}
+
+TYPED_TEST(RtMisuseTest, RuntimeResumeChoosesInvalidContinuation) {
+  const char *Src = R"(
+export main;
+main() {
+  yield(1) also aborts;
+  return (0);
+}
+)";
+  auto Prog = compile({Src});
+  ASSERT_TRUE(Prog);
+  const char *Invalid =
+      "run-time system chose an invalid resumption continuation";
+  // A return index past the bundle, and a cut to a value that is not a
+  // continuation.
+  for (const ResumeChoice &Choice :
+       {ResumeChoice::ret(5), ResumeChoice::cut(b32(5))}) {
+    TypeParam M(*Prog);
+    M.start("main");
+    ASSERT_EQ(M.run(), MachineStatus::Suspended);
+    EXPECT_FALSE(M.rtResume(Choice, {}));
+    EXPECT_EQ(M.status(), MachineStatus::Wrong);
+    EXPECT_EQ(M.wrongReason(), Invalid);
+  }
+  // A return once every frame is unwound: with no frame left there is no
+  // bundle to choose from, so the choice itself is invalid.
+  TypeParam M(*Prog);
+  M.start("main");
+  ASSERT_EQ(M.run(), MachineStatus::Suspended);
+  ASSERT_TRUE(M.rtUnwindTop(1));
+  ASSERT_EQ(M.stackDepth(), 0u);
+  EXPECT_FALSE(M.rtResume(ResumeChoice::ret(0), {}));
+  EXPECT_EQ(M.wrongReason(), Invalid);
+}
+
+//===----------------------------------------------------------------------===//
+// start: the name, the body, and a restart after going wrong
+//===----------------------------------------------------------------------===//
+
+template <typename Exec> class StartTest : public ::testing::Test {};
+TYPED_TEST_SUITE(StartTest, AllBackends, BackendNames);
+
+TYPED_TEST(StartTest, UnknownStartProcedure) {
+  const char *Src = R"(
+export main;
+global bits32 g;
+main() {
+  return (0);
+}
+)";
+  auto Prog = compile({Src});
+  ASSERT_TRUE(Prog);
+  // A name the program never mentions, and one it uses for a global.
+  for (const char *Name : {"nosuch", "g"}) {
+    TypeParam M(*Prog);
+    M.start(Name);
+    EXPECT_EQ(M.status(), MachineStatus::Wrong);
+    EXPECT_EQ(M.wrongReason(),
+              "unknown start procedure '" + std::string(Name) + "'");
+    EXPECT_EQ(M.wrongLoc().str(), SourceLoc().str());
+  }
+}
+
+TYPED_TEST(StartTest, StartProcedureHasNoBody) {
+  const char *Src = R"(
+export main;
+f() {
+  return (1);
+}
+main() {
+  return (0);
+}
+)";
+  auto Prog = compile({Src});
+  ASSERT_TRUE(Prog);
+  IrProc *F = nullptr;
+  for (auto &P : Prog->Procs)
+    if (Prog->Names->spelling(P->Name) == "f")
+      F = P.get();
+  ASSERT_NE(F, nullptr);
+  F->EntryPoint = nullptr; // an imported procedure this program lacks
+  TypeParam M(*Prog);
+  M.start("f");
+  EXPECT_EQ(M.status(), MachineStatus::Wrong);
+  EXPECT_EQ(M.wrongReason(), "procedure 'f' has no body");
+  EXPECT_EQ(M.wrongLoc().str(), SourceLoc().str());
+}
+
+TYPED_TEST(StartTest, RestartAfterGoingWrongHalts) {
+  // The first run goes wrong two frames deep with continuations bound; the
+  // restart must begin from a clean stack, memory and continuation table.
+  const char *Src = R"(
+export main;
+data cell { bits32[1]; }
+div(bits32 a, bits32 b) {
+  bits32 t;
+  t = bits32[cell];
+  bits32[cell] = t + 1;
+  return (a / b);
+}
+mid(bits32 b) {
+  bits32 r;
+  r = div(100, b) also cuts to k;
+  return (r);
+continuation k(r):
+  return (r);
+}
+main(bits32 b) {
+  bits32 r, n;
+  r = mid(b);
+  n = bits32[cell];
+  return (r + n);
+}
+)";
+  auto Prog = compile({Src});
+  ASSERT_TRUE(Prog);
+  TypeParam M(*Prog);
+  M.start("main", {b32(0)});
+  ASSERT_EQ(M.run(), MachineStatus::Wrong);
+  EXPECT_EQ(M.wrongReason(), "unspecified: signed division by zero (use "
+                             "%%divs for the checked variant)");
+  EXPECT_EQ(M.stackDepth(), 2u);
+  M.start("main", {b32(5)});
+  ASSERT_EQ(M.run(), MachineStatus::Halted);
+  EXPECT_EQ(M.stackDepth(), 0u);
+  ASSERT_EQ(M.argArea().size(), 1u);
+  EXPECT_EQ(M.argArea()[0], b32(21)); // 100 / 5, plus the one fresh store
 }
 
 //===----------------------------------------------------------------------===//
