@@ -28,6 +28,8 @@
 /// rtResume operations, on which src/rts builds the Table 1 run-time
 /// interface; every run-time-system action is validated against the formal
 /// Yield rules, so no front-end runtime can express an unsound transition.
+/// Those rules, the cut rule and start are written once for every backend
+/// in sem/ExecutorImpl.h; uid, M and A live in Executor.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +38,7 @@
 
 #include "ir/Ir.h"
 #include "sem/Env.h"
-#include "sem/Executor.h"
+#include "sem/ExecutorImpl.h"
 #include "sem/Memory.h"
 #include "sem/Stats.h"
 #include "sem/Value.h"
@@ -60,18 +62,11 @@ struct Frame {
 
 /// The executable abstract machine: the reference tree-walking executor.
 /// One Machine is one C-- thread.
-class Machine final : public Executor {
+class Machine final : public ExecutorImpl<Machine, Frame> {
 public:
-  explicit Machine(const IrProgram &Prog);
+  explicit Machine(const IrProgram &Prog) : ExecutorImpl(Prog) {}
 
   std::string_view backendName() const override { return "walk"; }
-
-  /// Initializes memory from the program image and enters \p ProcName with
-  /// \p Args in the argument-passing area.
-  void start(std::string_view ProcName, std::vector<Value> Args = {}) override;
-  void start(Symbol ProcName, std::vector<Value> Args = {});
-
-  MachineStatus status() const override { return St; }
 
   /// Performs one transition. Returns false when the machine is not
   /// Running (suspended machines must be resumed through rtResume).
@@ -81,78 +76,31 @@ public:
   /// executed; returns the final status (Running on step-limit).
   MachineStatus run(uint64_t MaxSteps = ~uint64_t(0)) override;
 
-  /// The argument-passing area A: procedure results after Halted, the
-  /// arguments of the yield(...) call while Suspended.
-  const std::vector<Value> &argArea() const override { return A; }
-
-  /// Why the machine went wrong (valid after status() == Wrong).
-  const std::string &wrongReason() const override { return WrongReason; }
-  SourceLoc wrongLoc() const override { return WrongLoc; }
-
-  const Stats &stats() const override { return S; }
-  void resetStats() override { S.reset(); }
-
-  /// Attaches \p O (null detaches). The machine does not own the observer;
-  /// it must outlive the run. With no observer attached every event site
-  /// costs exactly one branch-on-pointer, and behaviour is identical to an
-  /// unobserved machine.
-  void setObserver(MachineObserver *O) override { Obs = O; }
-  MachineObserver *observer() const override { return Obs; }
-
-  Memory &memory() override { return Mem; }
-  const Memory &memory() const override { return Mem; }
-  const IrProgram &program() const override { return Prog; }
-
-  /// Global register access (globals model machine registers shared by all
-  /// activations; they are never callee-saves and unaffected by cuts).
-  std::optional<Value> getGlobal(std::string_view Name) const override;
-  void setGlobal(std::string_view Name, const Value &V) override;
-
-  /// Decodes a value as a continuation; null when it is not one.
-  const ContRecord *decodeCont(const Value &V) const override;
-
-  //===--------------------------------------------------------------------===//
-  // Substrate for the run-time system (Table 1 lives in src/rts)
-  //===--------------------------------------------------------------------===//
-
-  size_t stackDepth() const override { return Stack.size(); }
-  /// \p I = 0 is the topmost suspended activation.
-  const Frame &frameFromTop(size_t I) const {
-    return Stack[Stack.size() - 1 - I];
-  }
-  const CallNode *frameCallSite(size_t I) const override {
-    return frameFromTop(I).CallSite;
-  }
-  const IrProc *frameProc(size_t I) const override {
-    return frameFromTop(I).Proc;
-  }
-  const IrProc *currentProc() const override { return CurProc; }
-  const Node *control() const { return Control; }
-
-  /// Yield unwind rule: pops \p Count frames; every popped frame's call site
-  /// must be annotated `also aborts`, else the machine goes wrong. Only
-  /// legal while Suspended.
-  bool rtUnwindTop(size_t Count) override;
-
-  /// Yield resume rules: pops the top frame and transfers control to the
-  /// chosen continuation of its bundle (or cuts the stack for Kind::Cut),
-  /// passing \p Params through the argument area. Only legal while
-  /// Suspended. Returns false (machine Wrong) on any rule violation.
-  bool rtResume(const ResumeChoice &Choice, std::vector<Value> Params) override;
-
 private:
+  friend class ExecutorImpl<Machine, Frame>;
+
   /// The transition engine. Observed instantiates the event-emission sites;
   /// the unobserved instantiation carries zero extra branches, so an
   /// uninstrumented run pays nothing per step (the run() hot loop picks the
   /// instantiation once, outside the loop).
   template <bool Observed> bool stepImpl();
 
-  void goWrong(std::string Reason, SourceLoc Loc);
-  void pushFrame(const CallNode *Site);
+  // The hooks of sem/ExecutorImpl.h.
   void enterProc(const IrProc *P, SourceLoc Loc);
-  bool doCutTo(const Value &ContVal, const CutToNode *FromNode);
-  const ContRecord *requireCont(const Value &V, SourceLoc Loc);
-  uint64_t newCont(Node *Target, uint64_t Uid, const IrProc *Proc);
+  void dropFrame(Frame &) {}
+  void restoreFrame(Frame &F) {
+    Rho = std::move(F.SavedEnv);
+    Sigma = std::move(F.SavedSigma);
+    Uid = F.Uid;
+    CurProc = F.Proc;
+  }
+  void killSigma() {
+    Rho.erase(Sigma);
+    Sigma.clear();
+  }
+  void setControl(const Node *N) { Control = N; }
+
+  void pushFrame(const CallNode *Site);
   void bindVar(Symbol V, const Value &Val);
 
   std::optional<Value> evalExpr(const Expr *E);
@@ -161,28 +109,14 @@ private:
   std::optional<Value> evalUnary(const UnaryExpr *U);
   std::optional<Value> evalPrim(const PrimExpr *P);
 
-  const IrProgram &Prog;
-
-  // The seven state components.
+  // The walker's own state components: p, ρ and σ (uid, M and A are
+  // Executor's, S is ExecutorImpl's).
   const Node *Control = nullptr;
   Env Rho;
   std::vector<Symbol> Sigma;
-  uint64_t Uid = 0;
-  Memory Mem;
-  std::vector<Value> A;
-  std::vector<Frame> Stack;
-
-  // Bookkeeping beyond the formal state.
-  const IrProc *CurProc = nullptr;
-  Env GlobalEnv;
-  uint64_t NextUid = 1;
-  std::vector<ContRecord> ContTable;
-  MachineStatus St = MachineStatus::Idle;
-  std::string WrongReason;
-  SourceLoc WrongLoc;
-  Stats S;
-  MachineObserver *Obs = nullptr;
 };
+
+extern template class ExecutorImpl<Machine, Frame>;
 
 } // namespace cmm
 

@@ -154,10 +154,7 @@ ThreadedMachine::ThreadedMachine(const IrProgram &Prog,
   {                                                                            \
     const Value *V = GlobalEnv.lookup(Cur->Syms[I->Imm]);                      \
     if (!V) {                                                                  \
-      goWrong("use of unknown global '" +                                      \
-                  std::string(Prog.Names->spelling(Cur->Syms[I->Imm])) +       \
-                  "'",                                                         \
-              I->Loc);                                                         \
+      wrongUnknownGlobal(Cur->Syms[I->Imm], I->Loc);                           \
       TRET();                                                                  \
     }                                                                          \
     StoreValue(*I, *V);                                                        \
@@ -196,10 +193,7 @@ ThreadedMachine::ThreadedMachine(const IrProgram &Prog,
   {                                                                            \
     const std::span<const CopyDest> Plan = Cur->CopyPlans[I->Imm];             \
     if (A.size() < Plan.size()) {                                              \
-      goWrong("too few values in the argument-passing area: need " +           \
-                  std::to_string(Plan.size()) + ", have " +                    \
-                  std::to_string(A.size()),                                    \
-              I->Loc);                                                         \
+      wrongTooFewValues(Plan.size(), A.size(), I->Loc);                        \
       TRET();                                                                  \
     }                                                                          \
     for (size_t J = 0; J < Plan.size(); ++J) {                                 \
@@ -263,7 +257,7 @@ ThreadedMachine::ThreadedMachine(const IrProgram &Prog,
         if constexpr (Observed)                                                \
           Obs->onHalt(*this);                                                  \
       } else {                                                                 \
-        goWrong("abnormal return with an empty stack", I->Loc);                \
+        wrongAbnormalReturnEmptyStack(I->Loc);                                 \
       }                                                                        \
       TRET();                                                                  \
     }                                                                          \
@@ -271,15 +265,12 @@ ThreadedMachine::ThreadedMachine(const IrProgram &Prog,
     Stack.pop_back();                                                          \
     const ContBundle &Bundle = F.CallSite->Bundle;                             \
     if (Bundle.ReturnsTo.size() != size_t(AltCount) + 1) {                     \
-      goWrong("return <" + std::to_string(ContIndex) + "/" +                   \
-                  std::to_string(AltCount) + "> at a call site with " +        \
-                  std::to_string(Bundle.ReturnsTo.size() - 1) +                \
-                  " alternate return continuations",                           \
-              I->Loc);                                                         \
+      wrongReturnArity(ContIndex, AltCount, Bundle.ReturnsTo.size() - 1,       \
+                       I->Loc);                                                \
       TRET();                                                                  \
     }                                                                          \
     if (ContIndex >= Bundle.ReturnsTo.size()) {                                \
-      goWrong("return continuation index out of range", I->Loc);               \
+      wrongReturnIndex(I->Loc);                                                \
       TRET();                                                                  \
     }                                                                          \
     const IrProc *Callee = CurProc;                                            \
@@ -299,7 +290,7 @@ ThreadedMachine::ThreadedMachine(const IrProgram &Prog,
     const Value Callee = *CalleeV; /* pushFrame moves Regs out */              \
     const int64_t TargetIdx = decodeCodeIdx(Callee);                           \
     if (TargetIdx < 0) [[unlikely]] {                                          \
-      goWrong("call target is not code (" + Callee.str() + ")", I->Loc);       \
+      wrongNotCode(/*IsJump=*/false, Callee, I->Loc);                          \
       TRET();                                                                  \
     }                                                                          \
     const IrProc *Target = Prog.Procs[TargetIdx].get();                        \
@@ -326,7 +317,7 @@ ThreadedMachine::ThreadedMachine(const IrProgram &Prog,
     const Value Callee = *CalleeV; /* enterProcAt may grow Regs */             \
     const int64_t TargetIdx = decodeCodeIdx(Callee);                           \
     if (TargetIdx < 0) [[unlikely]] {                                          \
-      goWrong("jump target is not code (" + Callee.str() + ")", I->Loc);       \
+      wrongNotCode(/*IsJump=*/true, Callee, I->Loc);                           \
       TRET();                                                                  \
     }                                                                          \
     const IrProc *Target = Prog.Procs[TargetIdx].get();                        \
@@ -444,7 +435,7 @@ template <bool Observed> void VmMachine::dispatch(uint64_t &Budget) {
   OPCASE(LoadLocal) {
     NODE_PROLOGUE(*I);
     if (!BoundP[I->B]) {
-      wrongUnbound(I->B, I->Loc);
+      wrongUnbound(Cur->SlotSyms[I->B], I->Loc);
       TRET();
     }
     StoreValue(*I, RegsP[I->B]);
@@ -461,9 +452,7 @@ template <bool Observed> void VmMachine::dispatch(uint64_t &Budget) {
     {
       const Value *V = GlobalEnv.lookup(Cur->Syms[I->Imm]);
       if (!V) {
-        goWrong("unresolved name '" +
-                    std::string(Prog.Names->spelling(Cur->Syms[I->Imm])) + "'",
-                I->Loc);
+        wrongUnresolvedName(Cur->Syms[I->Imm], I->Loc);
         TRET();
       }
       StoreValue(*I, *V);
