@@ -24,6 +24,7 @@
 #include "support/Assert.h"
 #include "support/Rng.h"
 
+#include <iterator>
 #include <vector>
 
 using namespace cmm;
@@ -144,10 +145,16 @@ private:
         // Fast-path division with a free divisor: for inputs where the
         // divisor is zero the program goes wrong, and it must go wrong
         // identically under every strategy and stay wrong (or better) under
-        // every optimization level.
-        const char *Op = R.chance(1, 2) ? "%divu" : "%mods";
-        B.line(0, var() + " = " + std::string(Op) + "(" + expr(1) + ", " +
-                      expr(1) + ");");
+        // every optimization level. The primitives and the signed infix
+        // operators go wrong at different executor sites.
+        static const char *const Divs[] = {"%divu", "%mods", "/", "%"};
+        const std::string Op = Divs[R.below(std::size(Divs))];
+        if (Op.size() == 1)
+          B.line(0, var() + " = (" + expr(1) + ") " + Op + " (" + expr(1) +
+                        ");");
+        else
+          B.line(0, var() + " = " + Op + "(" + expr(1) + ", " + expr(1) +
+                        ");");
         continue;
       }
       if (Opts.UseCheckedDiv && R.chance(1, 6)) {

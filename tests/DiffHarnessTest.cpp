@@ -55,11 +55,27 @@ TEST(DiffHarness, WrongProgramsAgreeAcrossStrategies) {
   // wrong identically (same reason), and halting inputs must still agree.
   DiffOptions Opts;
   Opts.Gen.WrongChancePct = 30;
+  unsigned SignedDivisionWrongs = 0;
   for (uint64_t Seed = 0; Seed < 8; ++Seed) {
     DiffSeedResult R = diffTestSeed(Seed, Opts);
     EXPECT_FALSE(R.hasUnexpected())
         << "seed " << Seed << " diverged:\n" << divergenceText(R);
+    // The corpus must reach the binary operators' stuck state, not only the
+    // primitives': otherwise a wrong reason or location reported there goes
+    // unseen by the comparison above.
+    RandomProgramOptions Gen = Opts.Gen;
+    Gen.Strategy = DispatchTechnique::CutGenerated;
+    auto Prog = compile({generateRandomProgram(Seed, Gen)});
+    ASSERT_TRUE(Prog);
+    for (uint64_t X : Opts.Inputs) {
+      Machine M(*Prog);
+      M.start("main", {b32(uint32_t(X))});
+      if (M.run() == MachineStatus::Wrong &&
+          M.wrongReason().rfind("unspecified: signed ", 0) == 0)
+        ++SignedDivisionWrongs;
+    }
   }
+  EXPECT_GE(SignedDivisionWrongs, 1u);
 }
 
 TEST(DiffHarness, ScheduledRenderingMatchesDirect) {
